@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactla import FieldSpec, Matrix, Scalar
+from .exactla import Echelon, FieldSpec, Matrix, Scalar
 
 _PATH_LIMIT = 500_000
 
@@ -168,56 +168,6 @@ def make_relation(field: FieldSpec, terms: Iterable[tuple[int | str, Path]]) -> 
     return tuple(out)
 
 
-class _BlockReducer:
-    """Incremental full row reduction over one (source, target) path block.
-
-    Columns are the block's paths in descending path order, so each pivot
-    sits on the largest path of its row; the quotient basis read off the
-    non-pivot columns is then the greedy smallest set of paths.
-    """
-
-    def __init__(self, field: FieldSpec, paths_desc: list[Path]):
-        self.field = field
-        self.paths_desc = paths_desc
-        self.col_of = {p: i for i, p in enumerate(paths_desc)}
-        self.rows: list[tuple[int, list]] = []  # (pivot column, reduced row), pivot ascending
-
-    def reduce(self, vec: list) -> list:
-        fld = self.field
-        vec = list(vec)
-        for pc, row in self.rows:
-            c = vec[pc]
-            if c != 0:
-                for j in range(pc, len(vec)):
-                    if row[j] != 0:
-                        vec[j] = fld.sub(vec[j], fld.mul(c, row[j]))
-        return vec
-
-    def add(self, vec: list) -> list | None:
-        """Insert a vector; returns the new reduced row, or None if dependent."""
-        fld = self.field
-        vec = self.reduce(vec)
-        pivot = next((j for j, x in enumerate(vec) if x != 0), None)
-        if pivot is None:
-            return None
-        inv = fld.inv(vec[pivot])
-        if inv != fld.one:
-            vec = [fld.mul(inv, x) for x in vec]
-        for i, (pc, row) in enumerate(self.rows):
-            c = row[pivot]
-            if c != 0:
-                self.rows[i] = (pc, [fld.sub(x, fld.mul(c, y)) for x, y in zip(row, vec)])
-        self.rows.append((pivot, vec))
-        self.rows.sort(key=lambda t: t[0])
-        return vec
-
-    def contains(self, vec: list) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
-    def pivot_paths(self) -> set[Path]:
-        return {self.paths_desc[pc] for pc, _ in self.rows}
-
-
 def _enumerate_paths(quiver: Quiver, max_len: int) -> list[list[Path]]:
     """Paths grouped by length 0..max_len, each level in path order."""
     levels: list[list[Path]] = [[quiver.trivial_path(v) for v in range(quiver.vertex_count)]]
@@ -238,25 +188,18 @@ def _enumerate_paths(quiver: Quiver, max_len: int) -> list[list[Path]]:
 
 
 def _saturate(field: FieldSpec, quiver: Quiver, generators: list[dict[Path, Scalar]],
-              blocks: dict[tuple[int, int], list[Path]], max_len: int,
-              drop_whole_on_overflow: bool) -> dict[tuple[int, int], _BlockReducer]:
+              columns: dict[tuple[int, int], list[Path]], col_of: dict[Path, int],
+              max_len: int, drop_whole_on_overflow: bool) -> dict[tuple[int, int], Echelon]:
     """Close the span of the generators under arrow multiplication on both sides.
 
-    With drop_whole_on_overflow a product is discarded entirely as soon as one
+    The span is kept per (source, target) block as an Echelon whose columns
+    are the paths columns[block], path p sitting in column col_of[p].  With
+    drop_whole_on_overflow a product is discarded entirely as soon as one
     term exceeds max_len (no term-wise truncation, sound for membership
     certification); otherwise overlong terms are dropped term-wise, which is
     valid once paths of length >= N are known to lie in the ideal.
     """
-    reducers: dict[tuple[int, int], _BlockReducer] = {}
-    desc: dict[tuple[int, int], list[Path]] = {
-        blk: sorted(paths, key=Path.sort_key, reverse=True) for blk, paths in blocks.items()}
-
-    def get_reducer(blk):
-        red = reducers.get(blk)
-        if red is None:
-            red = reducers[blk] = _BlockReducer(field, desc.get(blk, []))
-        return red
-
+    echelons: dict[tuple[int, int], Echelon] = {}
     queue: list[dict[Path, Scalar]] = []
 
     def push(combo: dict[Path, Scalar]) -> None:
@@ -264,13 +207,16 @@ def _saturate(field: FieldSpec, quiver: Quiver, generators: list[dict[Path, Scal
             return
         some = next(iter(combo))
         blk = (some.source, some.target)
-        red = get_reducer(blk)
-        vec = [field.zero] * len(red.paths_desc)
+        ech = echelons.get(blk)
+        if ech is None:
+            ech = echelons[blk] = Echelon(field)
+        paths = columns[blk]
+        vec = [field.zero] * len(paths)
         for pth, c in combo.items():
-            vec[red.col_of[pth]] = c
-        newrow = red.add(vec)
+            vec[col_of[pth]] = c
+        newrow = ech.add(vec)
         if newrow is not None:
-            queue.append({red.paths_desc[j]: x for j, x in enumerate(newrow) if x != 0})
+            queue.append({paths[j]: x for j, x in enumerate(newrow) if x != 0})
 
     for g in generators:
         push(g)
@@ -288,7 +234,7 @@ def _saturate(field: FieldSpec, quiver: Quiver, generators: list[dict[Path, Scal
             if a.target == src:  # multiply on the right (apply before)
                 prod = {Path(a.source, p.target, (ai,) + p.arrows): c for p, c in combo.items()}
                 push(_clip(prod, max_len, drop_whole_on_overflow))
-    return reducers
+    return echelons
 
 
 def _clip(combo: dict[Path, Scalar], max_len: int, drop_whole: bool) -> dict[Path, Scalar]:
@@ -385,25 +331,35 @@ def build_algebra(presentation: AlgebraPresentation) -> Algebra:
     lmax = max(nbound, max_rel_len)
     levels = _enumerate_paths(quiver, lmax)
 
-    def blocks_up_to(bound: int) -> dict[tuple[int, int], list[Path]]:
-        out: dict[tuple[int, int], list[Path]] = {}
+    def block_columns(bound: int):
+        """Paths of length <= bound per (source, target) block, in descending
+        path order, and the column of each path in its block.  Each pivot
+        then sits on the largest path of its row, so the quotient basis read
+        off the non-pivot columns is the greedy smallest set of paths."""
+        columns: dict[tuple[int, int], list[Path]] = {}
         for lvl in levels[:bound + 1]:
             for p in lvl:
-                out.setdefault((p.source, p.target), []).append(p)
-        return out
+                columns.setdefault((p.source, p.target), []).append(p)
+        col_of: dict[Path, int] = {}
+        for paths in columns.values():
+            paths.sort(key=Path.sort_key, reverse=True)
+            col_of.update((p, j) for j, p in enumerate(paths))
+        return columns, col_of
+
+    def unit(path: Path, width: int, col_of: dict[Path, int]) -> list:
+        vec = [field.zero] * width
+        vec[col_of[path]] = field.one
+        return vec
 
     rel_combos = [dict((p, c) for c, p in rel) for rel in presentation.relations]
 
     # certification pass: may only drop whole products, never single terms
-    strict = _saturate(field, quiver, rel_combos, blocks_up_to(lmax), lmax, True)
+    columns, col_of = block_columns(lmax)
+    strict = _saturate(field, quiver, rel_combos, columns, col_of, lmax, True)
     for w in levels[nbound] if nbound < len(levels) else []:
-        red = strict.get((w.source, w.target))
-        ok = False
-        if red is not None:
-            vec = [field.zero] * len(red.paths_desc)
-            vec[red.col_of[w]] = field.one
-            ok = red.contains(vec)
-        if not ok:
+        blk = (w.source, w.target)
+        ech = strict.get(blk)
+        if ech is None or not ech.contains(unit(w, len(columns[blk]), col_of)):
             raise NilpotencyBoundError(
                 f"path {w.render(quiver)} of length {nbound} is not in the relation ideal; "
                 f"declared nilpotency bound {nbound} is too small")
@@ -411,15 +367,12 @@ def build_algebra(presentation: AlgebraPresentation) -> Algebra:
     # quotient pass: paths of length >= N are now known to lie in the ideal,
     # so relations and products may be truncated term-wise below N
     truncated = [c for c in (_clip(rc, nbound - 1, False) for rc in rel_combos) if c]
-    reducers = _saturate(field, quiver, truncated, blocks_up_to(nbound - 1), nbound - 1, False)
+    columns, col_of = block_columns(nbound - 1)
+    echelons = _saturate(field, quiver, truncated, columns, col_of, nbound - 1, False)
 
-    basis: list[Path] = []
-    for lvl in levels[:nbound]:
-        for p in lvl:
-            red = reducers.get((p.source, p.target))
-            if red is None or p not in red.pivot_paths():
-                basis.append(p)
-    basis.sort(key=Path.sort_key)
+    in_ideal = {columns[blk][pc] for blk, ech in echelons.items() for pc in ech.pivots}
+    basis = sorted((p for lvl in levels[:nbound] for p in lvl if p not in in_ideal),
+                   key=Path.sort_key)
     basis_pos = {p: i for i, p in enumerate(basis)}
 
     table: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
@@ -432,15 +385,14 @@ def build_algebra(presentation: AlgebraPresentation) -> Algebra:
                 continue
             word = Path(q.source, p.target, word_arrows)
             blk = (word.source, word.target)
-            red = reducers.get(blk)
-            if red is None or not red.paths_desc:
+            ech = echelons.get(blk)
+            if ech is None:
                 terms = ((basis_pos[word], field.one),)
             else:
-                vec = [field.zero] * len(red.paths_desc)
-                vec[red.col_of[word]] = field.one
-                residue = red.reduce(vec)
+                paths = columns[blk]
+                residue = ech.reduce(unit(word, len(paths), col_of))
                 terms = tuple(sorted(
-                    (basis_pos[red.paths_desc[t]], x) for t, x in enumerate(residue) if x != 0))
+                    (basis_pos[paths[t]], x) for t, x in enumerate(residue) if x != 0))
             if terms:
                 table[(i, j)] = terms
 

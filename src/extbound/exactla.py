@@ -4,12 +4,14 @@ Entries are plain Python integers (canonical representatives 0..p-1) for a
 prime field, and `fractions.Fraction` values for the rationals.  Everything
 is exact; nothing in this package ever rounds.  All routines are pure
 functions of their inputs and produce canonical (hence bit-stable) output:
-row reduction always pivots on the first nonzero entry, kernel and solution
-bases follow the free-variable unit/zero convention.
+the reduced row echelon form of a matrix is unique, whatever order the rows
+are eliminated in, and kernel and solution bases follow the free-variable
+unit/zero convention.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -293,6 +295,71 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix(fld, sum(m.rows for m in mats), cols, tuple(out))
 
 
+class Echelon:
+    """Incremental reduced row echelon form of a growing row space.
+
+    The rows are kept fully reduced (each pivot column is zero outside its
+    own row) and in ascending pivot order, so after any sequence of adds they
+    are the reduced row echelon form of the span, which is unique.  Rows are
+    updated in place when later rows are added: a caller that keeps a row
+    returned by add must copy it.
+    """
+
+    __slots__ = ("rows", "pivots", "_p")
+
+    def __init__(self, field: FieldSpec):
+        self.rows: list[list] = []
+        self.pivots: list[int] = []
+        self._p = field.p  # None over the rationals
+
+    def _subtract(self, target: list, c: Scalar, row: list, start: int) -> None:
+        # target -= c * row in place; both are zero before start
+        p = self._p
+        if p is None:
+            target[start:] = [x - c * y for x, y in zip(target[start:], row[start:])]
+        else:
+            target[start:] = [(x - c * y) % p for x, y in zip(target[start:], row[start:])]
+
+    def reduce(self, vec: Sequence[Scalar]) -> list:
+        """The unique vector of vec + span that is zero on every pivot column."""
+        vec = list(vec)
+        subtract = self._subtract
+        for pc, row in zip(self.pivots, self.rows):
+            c = vec[pc]
+            if c:
+                subtract(vec, c, row, pc)
+        return vec
+
+    def add(self, vec: Sequence[Scalar]) -> list | None:
+        """Insert a vector; returns its new reduced row, or None if dependent."""
+        row = self.reduce(vec)
+        for pivot, lead in enumerate(row):
+            if lead:
+                break
+        else:
+            return None
+        if lead != 1:
+            p = self._p
+            if p is None:
+                inv = 1 / lead
+                row[pivot:] = [x * inv for x in row[pivot:]]
+            else:
+                inv = pow(lead, -1, p)
+                row[pivot:] = [x * inv % p for x in row[pivot:]]
+        at = bisect(self.pivots, pivot)
+        subtract = self._subtract
+        for other in self.rows[:at]:  # later rows are zero on this pivot column
+            c = other[pivot]
+            if c:
+                subtract(other, c, row, pivot)
+        self.pivots.insert(at, pivot)
+        self.rows.insert(at, row)
+        return row
+
+    def contains(self, vec: Sequence[Scalar]) -> bool:
+        return not any(self.reduce(vec))
+
+
 class RrefResult(NamedTuple):
     matrix: Matrix
     pivots: tuple[int, ...]
@@ -302,78 +369,19 @@ class RrefResult(NamedTuple):
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form with the pivot column list and the rank.
 
-    Pivoting always takes the first row with a nonzero entry, so the result
-    is a deterministic function of the input.
+    The reduced form of a matrix is unique, so the result is a deterministic
+    function of the input; rows beyond the rank are zero.
     """
-    fld = m.field
-    if fld.kind == "prime":
-        work, pivots = _rref_rows_prime([m.row_list(i) for i in range(m.rows)],
-                                        m.cols, fld.p)
-    else:
-        work, pivots = _rref_rows_generic([m.row_list(i) for i in range(m.rows)],
-                                          m.cols, fld)
-    flat = tuple(x for row in work for x in row)
-    return RrefResult(Matrix(fld, m.rows, m.cols, flat), tuple(pivots), len(pivots))
-
-
-def _rref_rows_prime(work: list[list], cols: int, p: int):
-    # tight integer loops; entries stay canonical in [0, p)
-    pivots: list[int] = []
-    nrows = len(work)
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        row_r = work[r]
-        inv = pow(row_r[c], -1, p)
-        if inv != 1:
-            work[r] = row_r = [x * inv % p for x in row_r]
-        tail = row_r[c:]
-        for i in range(nrows):
-            if i != r:
-                f = work[i][c]
-                if f:
-                    row_i = work[i]
-                    row_i[c:] = [(x - f * y) % p for x, y in zip(row_i[c:], tail)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    fld, cols = m.field, m.cols
+    ech = Echelon(fld)
+    for i in range(m.rows):
+        if len(ech.pivots) == cols:
             break
-    return work, pivots
-
-
-def _rref_rows_generic(work: list[list], cols: int, fld: FieldSpec):
-    pivots: list[int] = []
-    nrows = len(work)
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = fld.inv(work[r][c])
-        if inv != fld.one:
-            work[r] = [fld.mul(inv, x) for x in work[r]]
-        row_r = work[r]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [fld.sub(x, fld.mul(f, y)) for x, y in zip(work[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivots
+        ech.add(m.entries[i * cols:(i + 1) * cols])
+    rk = len(ech.pivots)
+    flat = [x for row in ech.rows for x in row]
+    flat.extend([fld.zero] * ((m.rows - rk) * cols))
+    return RrefResult(Matrix(fld, m.rows, cols, tuple(flat)), tuple(ech.pivots), rk)
 
 
 def rank(m: Matrix) -> int:

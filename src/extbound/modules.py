@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .exactla import (
-    Matrix, column_space_basis, express_in_columns, hstack, inverse,
+    Echelon, Matrix, column_space_basis, express_in_columns, hstack, inverse,
     kernel_basis, rank, solve,
 )
 from .algebra import (
@@ -59,12 +59,19 @@ class ModuleMap:
             if (m.rows, m.cols) != (self.target.dims[v], self.source.dims[v]):
                 raise ValueError(f"vertex {v}: matrix shape {m.rows}x{m.cols} does not match "
                                  f"{self.target.dims[v]}x{self.source.dims[v]}")
-        for a, xs, xt in zip(alg.quiver.arrows, self.source.arrow_matrices,
-                             self.target.arrow_matrices):
-            lhs = self.vertex_maps[a.target] @ xs
-            rhs = xt @ self.vertex_maps[a.source]
-            if lhs.entries != rhs.entries:
-                raise ValueError(f"map does not intertwine arrow {a.name}")
+        broken = self.failing_arrow()
+        if broken is not None:
+            raise ValueError(f"map does not intertwine arrow {broken.name}")
+
+    def failing_arrow(self):
+        """The first arrow a with f_t X_a != X'_a f_s, or None when the
+        vertex maps intertwine every arrow."""
+        for a, xs, xt in zip(self.source.algebra.quiver.arrows,
+                             self.source.arrow_matrices, self.target.arrow_matrices):
+            if (self.vertex_maps[a.target] @ xs).entries != \
+                    (xt @ self.vertex_maps[a.source]).entries:
+                return a
+        return None
 
     @classmethod
     def _trusted(cls, source: Representation, target: Representation,
@@ -201,7 +208,6 @@ class AddMembership:
         """The split maps through the explicit direct sum of the targets."""
         if not self.member or not self.u_maps:
             return None
-        from .algebra import direct_sum_with_maps
         _, incls, projs = direct_sum_with_maps([u.target for u in self.u_maps])
         u_total = v_total = None
         for u, v, incl, proj in zip(self.u_maps, self.v_maps, incls, projs):
@@ -231,48 +237,6 @@ def in_add(candidate: Representation, t_module: Representation) -> AddMembership
     return in_add_family(candidate, [t_module])
 
 
-class _SpanTracker:
-    """Incremental echelon row space with membership tests; rows are kept in
-    pivot order, which is all forward reduction needs."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows: list[tuple[int, list]] = []
-
-    def reduce(self, vec: list) -> list:
-        fld = self.field
-        vec = list(vec)
-        if fld.kind == "prime":
-            p = fld.p
-            for pc, row in self.rows:
-                c = vec[pc]
-                if c:
-                    vec[pc:] = [(x - c * y) % p for x, y in zip(vec[pc:], row[pc:])]
-        else:
-            for pc, row in self.rows:
-                c = vec[pc]
-                if c != 0:
-                    vec[pc:] = [fld.sub(x, fld.mul(c, y))
-                                for x, y in zip(vec[pc:], row[pc:])]
-        return vec
-
-    def add(self, vec) -> bool:
-        fld = self.field
-        red = self.reduce(vec)
-        pivot = next((j for j, x in enumerate(red) if x != 0), None)
-        if pivot is None:
-            return False
-        inv = fld.inv(red[pivot])
-        if inv != fld.one:
-            red = [fld.mul(inv, x) for x in red]
-        self.rows.append((pivot, red))
-        self.rows.sort(key=lambda t: t[0])
-        return True
-
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
-
 def in_add_family(candidate: Representation,
                   parts: list[Representation]) -> AddMembership:
     """Membership of the candidate in add of a direct sum, computed without
@@ -289,7 +253,7 @@ def in_add_family(candidate: Representation,
         return AddMembership(True)
     fld = candidate.algebra.field
     id_vec = list(ModuleMap.identity(candidate).flatten())
-    span = _SpanTracker(fld)
+    span = Echelon(fld)
     independent: list[tuple[ModuleMap, ModuleMap, tuple]] = []
     found = False
     for part in parts:
@@ -300,7 +264,7 @@ def in_add_family(candidate: Representation,
         for u in us:
             for v in vs:
                 flat = (v @ u).flatten()
-                if span.add(flat):
+                if span.add(flat) is not None:
                     independent.append((u, v, flat))
                     if span.contains(id_vec):
                         found = True
@@ -338,7 +302,7 @@ class IsoResult:
         return self.status == "iso"
 
 
-def _try_invertible(candidates, source, target) -> ModuleMap | None:
+def _try_invertible(candidates) -> ModuleMap | None:
     for f in candidates:
         if f.is_invertible:
             return f
@@ -366,11 +330,11 @@ def is_isomorphic(m: Representation, n: Representation, *, seed: int = 0,
     if m.dims != n.dims:
         return IsoResult("not_iso", reason="dimension vectors differ")
     basis = hom_basis(m, n)
-    found = _try_invertible(basis, m, n)
+    found = _try_invertible(basis)
     if found is None:
         pair_sums = (basis[i] + basis[j] for i in range(len(basis))
                      for j in range(i + 1, len(basis)))
-        found = _try_invertible(pair_sums, m, n)
+        found = _try_invertible(pair_sums)
     if found is None and basis:
         rng = random.Random(seed)
         fld = m.algebra.field
@@ -400,7 +364,7 @@ def is_isomorphic(m: Representation, n: Representation, *, seed: int = 0,
             fac_n = dn.copies[j][0]
             if fac_m.dims != fac_n.dims:
                 continue
-            w = _try_invertible(hom_basis(fac_m, fac_n), fac_m, fac_n)
+            w = _try_invertible(hom_basis(fac_m, fac_n))
             if w is not None:
                 hit = (j, w)
                 break
@@ -456,18 +420,8 @@ def _split_along(rep, f_power):
     kdim = sum(m.cols for m in kcols)
     if kdim == 0 or kdim == rep.total_dim:
         return None
-    parts = []
-    for cols in (kcols, icols):
-        dims = tuple(m.cols for m in cols)
-        mats = []
-        for a, x in zip(alg.quiver.arrows, rep.arrow_matrices):
-            sub = express_in_columns(cols[a.target], x @ cols[a.source])
-            if sub is None:
-                raise InternalCheckError("Fitting part is not arrow-stable")
-            mats.append(sub)
-        part = Representation(alg, dims, tuple(mats))
-        incl = ModuleMap(part, rep, tuple(cols))
-        parts.append((part, incl))
+    kpart, kincl = _subrepresentation(rep, kcols, "Fitting part")
+    ipart, iincl = _subrepresentation(rep, icols, "Fitting part")
     projs = []
     for v in range(alg.vertex_count):
         u = hstack([kcols[v], icols[v]])
@@ -481,7 +435,6 @@ def _split_along(rep, f_power):
             Matrix.from_rows(fld, [uinv.row_list(i) for i in range(kd, u.rows)])
             if u.rows - kd else Matrix.zeros(fld, 0, rep.dims[v]),
         ))
-    (kpart, kincl), (ipart, iincl) = parts
     kproj = ModuleMap(rep, kpart, tuple(p[0] for p in projs))
     iproj = ModuleMap(rep, ipart, tuple(p[1] for p in projs))
     return (kpart, kincl, kproj), (ipart, iincl, iproj)
@@ -574,7 +527,7 @@ def decompose(rep: Representation, *, seed: int = 0, budget: int = 1 << 20,
         for part, _, _, _ in leaves:
             for k, (fac, mult) in enumerate(factors):
                 if part.dims == fac.dims and (
-                        part == fac or _try_invertible(hom_basis(part, fac), part, fac)):
+                        part == fac or _try_invertible(hom_basis(part, fac))):
                     factors[k] = (fac, mult + 1)
                     break
             else:
@@ -583,55 +536,64 @@ def decompose(rep: Representation, *, seed: int = 0, budget: int = 1 << 20,
     return Decomposition(determined, tuple(factors), copies, reason)
 
 
-def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
-    """The kernel subrepresentation with its canonical inclusion."""
-    alg = f.source.algebra
-    fld = alg.field
-    cols = [Matrix.from_columns(fld, kernel_basis(m), nrows=f.source.dims[v])
-            for v, m in enumerate(f.vertex_maps)]
-    dims = tuple(m.cols for m in cols)
+def _subrepresentation(rep: Representation, cols: list[Matrix],
+                       what: str) -> tuple[Representation, ModuleMap]:
+    """The subrepresentation of rep whose space at each vertex v is spanned by
+    the (independent) columns of cols[v], with its inclusion into rep."""
+    alg = rep.algebra
     mats = []
-    for a, x in zip(alg.quiver.arrows, f.source.arrow_matrices):
+    for a, x in zip(alg.quiver.arrows, rep.arrow_matrices):
         sub = express_in_columns(cols[a.target], x @ cols[a.source])
         if sub is None:
-            raise InternalCheckError("kernel is not arrow-stable")
+            raise InternalCheckError(f"{what} is not arrow-stable")
         mats.append(sub)
-    rep = Representation(alg, dims, tuple(mats))
-    return rep, ModuleMap(rep, f.source, tuple(cols))
+    sub_rep = Representation(alg, tuple(m.cols for m in cols), tuple(mats))
+    return sub_rep, ModuleMap(sub_rep, rep, tuple(cols))
+
+
+def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
+    """The kernel subrepresentation with its canonical inclusion."""
+    fld = f.source.algebra.field
+    cols = [Matrix.from_columns(fld, kernel_basis(m), nrows=f.source.dims[v])
+            for v, m in enumerate(f.vertex_maps)]
+    return _subrepresentation(f.source, cols, "kernel")
 
 
 def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """The image subrepresentation of the target with its inclusion."""
-    alg = f.target.algebra
-    cols = [column_space_basis(m) for m in f.vertex_maps]
-    dims = tuple(m.cols for m in cols)
-    mats = []
-    for a, x in zip(alg.quiver.arrows, f.target.arrow_matrices):
-        sub = express_in_columns(cols[a.target], x @ cols[a.source])
-        if sub is None:
-            raise InternalCheckError("image is not arrow-stable")
-        mats.append(sub)
-    rep = Representation(alg, dims, tuple(mats))
-    return rep, ModuleMap(rep, f.target, tuple(cols))
+    return _subrepresentation(f.target, [column_space_basis(m) for m in f.vertex_maps],
+                              "image")
+
+
+def _unit_completion(basis: Matrix, limit: int | None = None) -> list[int]:
+    """Coordinates j of the unit vectors e_j that greedily complete the
+    independent columns of basis, in coordinate order: e_j is taken when it
+    lies outside the span of the columns and the units taken before it.
+    Stops after limit units when a limit is given."""
+    fld = basis.field
+    span = Echelon(fld)
+    for j in range(basis.cols):
+        span.add(basis.column(j))
+    chosen: list[int] = []
+    for j in range(basis.rows):
+        if len(chosen) == limit:
+            break
+        unit = [fld.zero] * basis.rows
+        unit[j] = fld.one
+        if span.add(unit) is not None:
+            chosen.append(j)
+    return chosen
 
 
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """The cokernel with its canonical projection from the target."""
     alg = f.target.algebra
     fld = alg.field
-    projs, sections, qdims = [], [], []
+    bases, projs, sections, qdims = [], [], [], []
     for v in range(alg.vertex_count):
         b = column_space_basis(f.vertex_maps[v])
         d = f.target.dims[v]
-        chosen = []
-        cur = b
-        for j in range(d):
-            unit = [fld.zero] * d
-            unit[j] = fld.one
-            cand = hstack([cur, Matrix.from_columns(fld, [unit], nrows=d)])
-            if rank(cand) > cur.cols:
-                chosen.append(j)
-                cur = cand
+        chosen = _unit_completion(b)
         q = len(chosen)
         qdims.append(q)
         section = Matrix.from_columns(
@@ -642,13 +604,14 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
             raise InternalCheckError("cokernel completion is singular")
         proj = (Matrix.from_rows(fld, [uinv.row_list(i) for i in range(b.cols, d)])
                 if q else Matrix.zeros(fld, 0, d))
+        bases.append(b)
         projs.append(proj)
         sections.append(section)
     mats = []
     for a, x in zip(alg.quiver.arrows, f.target.arrow_matrices):
         induced = projs[a.target] @ x @ sections[a.source]
         # well-definedness: arrows must send the image into the image
-        if not (projs[a.target] @ x @ column_space_basis(f.vertex_maps[a.source])).is_zero:
+        if not (projs[a.target] @ x @ bases[a.source]).is_zero:
             raise InternalCheckError("cokernel is not well defined")
         mats.append(induced)
     rep = Representation(alg, tuple(qdims), tuple(mats))
@@ -667,15 +630,7 @@ def radical(rep: Representation) -> tuple[Representation, ModuleMap]:
             cols.append(column_space_basis(hstack(incoming)))
         else:
             cols.append(Matrix.zeros(fld, rep.dims[v], 0))
-    dims = tuple(m.cols for m in cols)
-    mats = []
-    for a, x in zip(alg.quiver.arrows, rep.arrow_matrices):
-        sub = express_in_columns(cols[a.target], x @ cols[a.source])
-        if sub is None:
-            raise InternalCheckError("radical is not arrow-stable")
-        mats.append(sub)
-    sub_rep = Representation(alg, dims, tuple(mats))
-    return sub_rep, ModuleMap(sub_rep, rep, tuple(cols))
+    return _subrepresentation(rep, cols, "radical")
 
 
 def top_multiplicities(rep: Representation) -> tuple[int, ...]:
@@ -743,19 +698,9 @@ def projective_cover(rep: Representation) -> CoverResult:
     # canonical lifts of the top basis
     lifts: dict[int, list[tuple]] = {}
     for v in range(alg.vertex_count):
-        chosen: list[tuple] = []
-        cur = rad_incl.vertex_maps[v]
         d = rep.dims[v]
-        for j in range(d):
-            if len(chosen) == tops[v]:
-                break
-            unit = [fld.zero] * d
-            unit[j] = fld.one
-            cand = hstack([cur, Matrix.from_columns(fld, [unit], nrows=d)])
-            if rank(cand) > cur.cols:
-                chosen.append(tuple(unit))
-                cur = cand
-        lifts[v] = chosen
+        lifts[v] = [tuple(fld.one if i == j else fld.zero for i in range(d))
+                    for j in _unit_completion(rad_incl.vertex_maps[v], tops[v])]
     # assemble the cover vertexwise from path actions on the lifted generators
     action_cache: dict[Path, Matrix] = {}
     def act(path: Path) -> Matrix:

@@ -8,6 +8,7 @@ window or an unresolved decomposition is reported undetermined.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 from .exactla import Matrix, rank
@@ -144,9 +145,16 @@ def coresolution_corpus(x_mod: Representation, result: CoresolutionResult) -> Co
 
 
 def coresolution_in_add(x_mod: Representation, t_mod: Representation,
-                        maxlen: int, cutoff: int, *, seed: int = 0) -> CoresolutionResult:
+                        maxlen: int, cutoff: int | None = None, *,
+                        seed: int = 0) -> CoresolutionResult:
     """Iterated left approximations from X until a cokernel certifies inside
-    add T (that cokernel becomes the last term)."""
+    add T (that cokernel becomes the last term).
+
+    cutoff is deprecated and ignored: no step of the construction reads it.
+    """
+    if cutoff is not None:
+        warnings.warn("coresolution_in_add: cutoff is unused and deprecated",
+                      DeprecationWarning, stacklevel=2)
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
     initial = in_add(x_mod, t_mod)
@@ -232,8 +240,7 @@ def is_tilting(t_mod: Representation, cutoff: int, maxlen: int,
     self-orthogonality, and a finite coresolution of the regular module."""
     pd_res = projective_dimension(t_mod, cutoff)
     selforth = is_selforthogonal(t_mod, cutoff)
-    cores = coresolution_in_add(regular_module(t_mod.algebra), t_mod, maxlen,
-                                cutoff, seed=seed)
+    cores = coresolution_in_add(regular_module(t_mod.algebra), t_mod, maxlen, seed=seed)
     if isinstance(pd_res, PdPeriodic):
         return TiltingReport(pd_res, selforth, cores, "not_tilting",
                              "projective dimension certified infinite")
@@ -347,8 +354,7 @@ def ewtc_check(t_mod: Representation, cutoff: int, maxlen: int,
     confirms the instance, corroborated by the finite-pd certificate.
     """
     selforth = is_selforthogonal(t_mod, cutoff)
-    cores = coresolution_in_add(regular_module(t_mod.algebra), t_mod, maxlen,
-                                cutoff, seed=seed)
+    cores = coresolution_in_add(regular_module(t_mod.algebra), t_mod, maxlen, seed=seed)
     if selforth.status == "certified_false":
         return EwtcReport(selforth, cores, None, None, "not_applicable",
                           f"Ext^{selforth.degree}(T,T) != 0")

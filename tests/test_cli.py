@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import extbound as eb
 from extbound.cli import main
@@ -211,6 +212,15 @@ def test_verify_deterministic_bytes(capsys):
     _, second, _ = run(capsys, "verify", "--fixtures", "A2", "--cutoff", "8",
                        "--format", "json")
     assert first == second
+
+
+def test_verify_all_matches_golden_bytes(capsys):
+    # the committed stdout of this command; refactors must keep it byte for byte
+    golden = (Path(__file__).parent / "data" / "verify_fixtures_all_c12.json").read_text()
+    code, out, _ = run(capsys, "verify", "--fixtures", "all", "--cutoff", "12",
+                       "--format", "json")
+    assert code == 0
+    assert out == golden
 
 
 def test_malformed_file_exit_3(capsys, tmp_path):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extbound.exactla import (
-    FieldMismatchError, FieldSpec, Matrix, column_space_basis,
+    Echelon, FieldMismatchError, FieldSpec, Matrix, column_space_basis,
     express_in_columns, hstack, inverse, kernel_basis, rank, rref, solve,
 )
+from extbound.modules import _unit_completion
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -162,3 +163,78 @@ def test_solve_consistency(m, raw):
     else:
         aug = hstack([m, Matrix(m.field, m.rows, 1, b)])
         assert rank(aug) > rank(m)
+
+
+def reference_rref(m):
+    """Textbook Gauss-Jordan: pivot on the first row with a nonzero entry in
+    each column, using only the FieldSpec operations."""
+    fld = m.field
+    work = m.to_rows()
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, m.rows) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = fld.inv(work[r][c])
+        if inv != fld.one:
+            work[r] = [fld.mul(inv, x) for x in work[r]]
+        for i in range(m.rows):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [fld.sub(x, fld.mul(f, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    flat = tuple(x for row in work for x in row)
+    return Matrix(fld, m.rows, m.cols, flat), tuple(pivots)
+
+
+@settings(deadline=None, max_examples=200)
+@given(matrices(max_dim=6))
+def test_rref_matches_reference(m):
+    red, pivots, rk = rref(m)
+    ref, ref_pivots = reference_rref(m)
+    assert red == ref and pivots == ref_pivots and rk == len(ref_pivots)
+    assert [type(x) for x in red.entries] == [type(x) for x in ref.entries]
+
+
+@settings(deadline=None, max_examples=100)
+@given(matrices(max_dim=5), st.lists(st.integers(-6, 6), min_size=5, max_size=5))
+def test_echelon_add_and_reduce(m, raw):
+    ech = Echelon(m.field)
+    vecs = [m.row_list(i) for i in range(m.rows)]
+    for vec in vecs:
+        inside = ech.contains(vec)
+        assert (ech.add(vec) is None) == inside
+        assert ech.contains(vec)
+    assert ech.pivots == sorted(ech.pivots) and len(ech.pivots) == rank(m)
+    for vec in vecs + [[m.field.coerce(x) for x in raw[:m.cols]]]:
+        once = ech.reduce(vec)
+        assert ech.reduce(once) == once
+        assert all(once[pc] == 0 for pc in ech.pivots)
+
+
+def greedy_unit_completion(basis, limit=None):
+    """Units e_j, in coordinate order, that raise the rank of the columns so far."""
+    fld, d = basis.field, basis.rows
+    chosen, cur = [], basis
+    for j in range(d):
+        if len(chosen) == limit:
+            break
+        unit = [fld.one if i == j else fld.zero for i in range(d)]
+        cand = hstack([cur, Matrix.from_columns(fld, [unit], nrows=d)])
+        if rank(cand) > cur.cols:
+            chosen.append(j)
+            cur = cand
+    return chosen
+
+
+@settings(deadline=None, max_examples=100)
+@given(matrices(max_dim=5), st.integers(0, 5))
+def test_unit_completion_matches_greedy_rank(m, limit):
+    basis = column_space_basis(m)
+    assert _unit_completion(basis) == greedy_unit_completion(basis)
+    assert _unit_completion(basis, limit) == greedy_unit_completion(basis, limit)

@@ -112,6 +112,18 @@ def test_periodicity_certificates(loop2, cnak2, nak3):
     assert eb.periodicity_certificate(eb.simple_module(nak3, 0), 10) is None
 
 
+def test_periodicity_verify_rejects_non_intertwining_witness(loop2):
+    from extbound.exactla import Matrix
+    from extbound.modules import ModuleMap
+    p1 = eb.projective_module(loop2, 0)  # k[x]/(x^2): x acts as a nilpotent 2x2 block
+    shear = Matrix.from_rows(loop2.field, [[1, 1], [0, 1]])
+    assert (shear @ p1.arrow_matrices[0]).entries != (p1.arrow_matrices[0] @ shear).entries
+    witness = ModuleMap._trusted(p1, p1, (shear,))
+    assert witness.is_invertible
+    assert not eb.PeriodicityCertificate(0, 1, witness).verify()
+    assert eb.PeriodicityCertificate(0, 1, ModuleMap.identity(p1)).verify()
+
+
 def test_periodicity_implies_periodic_ext(cnak2, corpora):
     s1 = eb.simple_module(cnak2, 0)
     cert = eb.periodicity_certificate(s1, 10)

@@ -34,12 +34,12 @@ def test_approximation_no_homs(a2):
 def test_coresolution_length_zero(corpora):
     for corpus in corpora.values():
         reg = eb.regular_module(corpus.algebra)
-        result = eb.coresolution_in_add(reg, reg, 8, 10)
+        result = eb.coresolution_in_add(reg, reg, 8)
         assert result.success and result.length == 0 and result.verify()
 
 
 def test_coresolution_a2(a2, a2_tilting):
-    result = eb.coresolution_in_add(eb.regular_module(a2), a2_tilting, 8, 10)
+    result = eb.coresolution_in_add(eb.regular_module(a2), a2_tilting, 8)
     assert result.success and result.length == 1
     assert [list(t.dims) for t, _ in result.terms] == [[2, 2], [1, 0]]
     assert result.verify()
@@ -47,10 +47,16 @@ def test_coresolution_a2(a2, a2_tilting):
 
 def test_coresolution_failure(a2):
     result = eb.coresolution_in_add(eb.regular_module(a2),
-                                    eb.simple_module(a2, 0), 8, 10)
+                                    eb.simple_module(a2, 0), 8)
     assert not result.success
     assert result.failure_stage == 0
     assert result.reason == "approximation not injective"
+
+
+def test_coresolution_cutoff_deprecated(a2, a2_tilting):
+    with pytest.warns(DeprecationWarning, match="cutoff"):
+        result = eb.coresolution_in_add(eb.regular_module(a2), a2_tilting, 8, 10)
+    assert result.success and result.length == 1
 
 
 def test_selforthogonality(a2_tilting, corpora):
