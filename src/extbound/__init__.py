@@ -33,9 +33,10 @@ from .homology import (
 from .bounds import (
     AbResult, BoundValue, CertNotApplicable, CertUndetermined, CheckOutcome,
     Corpus, CorpusBoundReport, PdBound, PropertyReport, StatementResult,
-    UltimateClosure, check_regular_onset_formula, corpus_bounds, dual_corpus,
-    finite_pd_certificate, left_bound, right_bound, right_bound_direct,
-    strongly_redundant_from, ultimately_closed_at, verify_bound_properties,
+    UltimateClosure, UnknownNameError, check_regular_onset_formula,
+    corpus_bounds, dual_corpus, finite_pd_certificate, left_bound,
+    right_bound, right_bound_direct, strongly_redundant_from,
+    ultimately_closed_at, verify_bound_properties,
 )
 from .tilting import (
     ArcScanReport, CoresolutionResult, EwtcReport, GscReport, SelforthResult,

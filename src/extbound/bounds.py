@@ -25,6 +25,13 @@ from .homology import (
 )
 
 
+class UnknownNameError(KeyError):
+    """A fixture or corpus member name that does not exist: an input error."""
+
+    def __str__(self) -> str:
+        return str(self.args[0]) if self.args else ""
+
+
 @dataclass
 class Corpus:
     """A named finite family of modules standing in for a class of modules."""
@@ -54,7 +61,8 @@ class Corpus:
         for n, rep in self.members:
             if n == name:
                 return rep
-        raise KeyError(name)
+        raise UnknownNameError(f"unknown corpus member {name!r}; available: "
+                               f"{', '.join(self.names())}")
 
     @property
     def is_complete(self) -> bool:
@@ -165,7 +173,7 @@ class CorpusBoundReport:
         for row in self.member_stats:
             if row[0] == name:
                 return row
-        raise KeyError(name)
+        raise UnknownNameError(f"no report row for corpus member {name!r}")
 
 
 def _finitistic(values: list[PdResult]) -> BoundValue:

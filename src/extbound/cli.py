@@ -21,7 +21,7 @@ from .homology import (
     minimal_resolution, projective_dimension, vanishing_onset,
 )
 from .bounds import (
-    corpus_bounds, left_bound, right_bound,
+    UnknownNameError, corpus_bounds, left_bound, right_bound,
     strongly_redundant_from, ultimately_closed_at, verify_bound_properties,
 )
 from .tilting import arc_scan, ewtc_check, gsc_report, is_tilting, is_wakamatsu
@@ -37,7 +37,7 @@ from .fixtures import (
 SCHEMA_VERSION = "1"
 
 _INPUT_ERRORS = (FileFormatError, PresentationError, NilpotencyBoundError,
-                 AlgebraMismatchError, OSError, KeyError)
+                 AlgebraMismatchError, OSError, UnknownNameError)
 
 
 def _load_algebra_arg(value: str):

@@ -7,6 +7,20 @@ functions of their inputs and produce canonical (hence bit-stable) output:
 the reduced row echelon form of a matrix is unique, whatever order the rows
 are eliminated in, and kernel and solution bases follow the free-variable
 unit/zero convention.
+
+The arithmetic kernels of `Matrix` (`@`, `apply`, `+`, `-`, negation and
+`scale`) share one contract:
+
+* zero-skipping: a product adds a[i,t] * (row t of b) into the output row
+  only for the nonzero a[i,t], and `apply` skips zero matrix entries;
+* one reduction per entry: over GF(p) the sums are taken in Python integers
+  and each output entry is reduced mod p once; over the rationals nothing
+  is reduced;
+* canonical entry types: every result entry is an `int` in 0..p-1 over
+  GF(p) and a `Fraction` over the rationals, even when an operand was built
+  from raw (unreduced or integer) entries.
+
+The field is looked up once per call, not once per entry.
 """
 
 from __future__ import annotations
@@ -91,6 +105,8 @@ class FieldSpec:
 
     def coerce(self, value: int | str | Fraction) -> Scalar:
         """Normalize an int, Fraction or decimal/fraction string to an element."""
+        if value.__class__ is int and self.p is not None:
+            return value % self.p
         if self.kind == "prime":
             if isinstance(value, str):
                 value = Fraction(value)
@@ -148,6 +164,14 @@ class Matrix:
             )
 
     @classmethod
+    def _trusted(cls, field: FieldSpec, rows: int, cols: int, entries: tuple) -> "Matrix":
+        # skip the shape check for kernel results whose shape is right by construction
+        obj = object.__new__(cls)
+        d = obj.__dict__
+        d["field"], d["rows"], d["cols"], d["entries"] = field, rows, cols, entries
+        return obj
+
+    @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
         return cls(field, rows, cols, (field.zero,) * (rows * cols))
 
@@ -191,51 +215,65 @@ class Matrix:
         return [self.row_list(i) for i in range(self.rows)]
 
     def _check_field(self, other: "Matrix") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(f"fields differ: {self.field} vs {other.field}")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if self.cols != other.rows:
             raise DimensionMismatchError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        fld = self.field
         n, k, m = self.rows, self.cols, other.cols
+        if not (n and m):
+            return Matrix._trusted(fld, n, m, ())
+        if not k:
+            return Matrix.zeros(fld, n, m)
+        p = fld.p
         a, b = self.entries, other.entries
+        zero_row = [fld.zero] * m
         out = []
-        if self.field.kind == "prime":
-            p = self.field.p
-            for i in range(n):
-                base = i * k
-                for j in range(m):
-                    out.append(sum(a[base + t] * b[t * m + j] for t in range(k)) % p)
-        else:
-            zero = Fraction(0)
-            for i in range(n):
-                base = i * k
-                for j in range(m):
-                    acc = zero
-                    for t in range(k):
-                        acc += a[base + t] * b[t * m + j]
-                    out.append(acc)
-        return Matrix(self.field, n, m, tuple(out))
+        for base in range(0, n * k, k):
+            # row i of the product: sum of a[i,t] * (row t of b) over nonzero a[i,t]
+            acc = zero_row
+            for t, x in enumerate(a[base:base + k]):
+                if x:
+                    acc = [u + x * y for u, y in zip(acc, b[t * m:t * m + m])]
+            if p is None or acc is zero_row:
+                out += acc
+            else:
+                out += [u % p for u in acc]
+        return Matrix._trusted(fld, n, m, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("shape mismatch in addition")
-        add = self.field.add
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(add(x, y) for x, y in zip(self.entries, other.entries)))
+        p = self.field.p
+        if p is None:
+            out = _fractions([x + y for x, y in zip(self.entries, other.entries)])
+        else:
+            out = tuple([(x + y) % p for x, y in zip(self.entries, other.entries)])
+        return Matrix._trusted(self.field, self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols, tuple(neg(x) for x in self.entries))
+        p = self.field.p
+        if p is None:
+            out = _fractions([-x for x in self.entries])
+        else:
+            out = tuple([-x % p for x in self.entries])
+        return Matrix._trusted(self.field, self.rows, self.cols, out)
 
     def scale(self, c: Scalar) -> "Matrix":
-        mul = self.field.mul
-        return Matrix(self.field, self.rows, self.cols, tuple(mul(c, x) for x in self.entries))
+        fld = self.field
+        c, p = fld.coerce(c), fld.p
+        if p is None:
+            out = tuple([c * x for x in self.entries])
+        else:
+            out = tuple([c * x % p for x in self.entries])
+        return Matrix._trusted(fld, self.rows, self.cols, out)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.cols, self.rows,
@@ -248,17 +286,18 @@ class Matrix:
 
     def apply(self, vec: Sequence[Scalar]) -> tuple:
         """Matrix-vector product."""
-        if len(vec) != self.cols:
+        k = self.cols
+        if len(vec) != k:
             raise DimensionMismatchError("vector length mismatch")
-        mul, add = self.field.mul, self.field.add
-        out = []
-        for i in range(self.rows):
-            acc = self.field.zero
-            base = i * self.cols
-            for t in range(self.cols):
-                acc = add(acc, mul(self.entries[base + t], vec[t]))
-            out.append(acc)
-        return tuple(out)
+        a, p, zero = self.entries, self.field.p, self.field.zero
+        sums = [sum([x * v for x, v in zip(a[i * k:i * k + k], vec) if x], zero)
+                for i in range(self.rows)]
+        return tuple(sums) if p is None else tuple([s % p for s in sums])
+
+
+def _fractions(values: list) -> tuple:
+    # entries over the rationals are Fractions even when an operand held ints
+    return tuple([x if x.__class__ is Fraction else Fraction(x) for x in values])
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:

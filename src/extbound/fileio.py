@@ -34,6 +34,11 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise FileFormatError(f"{where}: {message}")
 
 
+def _is_scalar(value) -> bool:
+    # coefficients are decimal/fraction strings or integers; a float is not exact
+    return type(value) in (str, int)
+
+
 # ----- algebra files ----------------------------------------------------------
 
 
@@ -74,21 +79,27 @@ def algebra_from_json(data: dict, where: str = "algebra") -> Algebra:
     qdata = data.get("quiver")
     _require(isinstance(qdata, dict), f"{where}.quiver", "expected an object")
     vertices = qdata.get("vertices")
-    _require(isinstance(vertices, list) and vertices, f"{where}.quiver.vertices",
-             "expected a nonempty list")
+    _require(isinstance(vertices, list) and vertices
+             and all(isinstance(v, str) for v in vertices),
+             f"{where}.quiver.vertices", "expected a nonempty list of names")
+    arrows_data = qdata.get("arrows", [])
+    _require(isinstance(arrows_data, list), f"{where}.quiver.arrows", "expected a list")
     arrows = []
-    for k, arr in enumerate(qdata.get("arrows", [])):
+    for k, arr in enumerate(arrows_data):
         loc = f"{where}.quiver.arrows[{k}]"
         _require(isinstance(arr, dict), loc, "expected an object")
         for key in ("name", "from", "to"):
             _require(key in arr, loc, f"missing {key!r}")
+            _require(isinstance(arr[key], str), f"{loc}.{key}", "expected a name")
         arrows.append((arr["name"], arr["from"], arr["to"]))
     try:
         quiver = Quiver.build(vertices, arrows)
     except ValueError as exc:
         raise FileFormatError(f"{where}.quiver: {exc}") from None
+    relations_data = data.get("relations", [])
+    _require(isinstance(relations_data, list), f"{where}.relations", "expected a list")
     relations = []
-    for k, rel in enumerate(data.get("relations", [])):
+    for k, rel in enumerate(relations_data):
         loc = f"{where}.relations[{k}]"
         _require(isinstance(rel, list) and rel, loc, "expected a nonempty list of terms")
         terms = []
@@ -96,6 +107,10 @@ def algebra_from_json(data: dict, where: str = "algebra") -> Algebra:
             tloc = f"{loc}[{t}]"
             _require(isinstance(term, dict), tloc, "expected an object")
             _require("coef" in term and "path" in term, tloc, "need coef and path")
+            _require(_is_scalar(term["coef"]), f"{tloc}.coef",
+                     "expected an integer or a decimal/fraction string")
+            _require(isinstance(term["path"], list), f"{tloc}.path",
+                     "expected a list of arrow names")
             try:
                 path = quiver.path(term["path"])
             except ValueError as exc:
@@ -145,6 +160,7 @@ def _matrix_from_rows_json(field: FieldSpec, rows, d_target: int, d_source: int,
         _require(isinstance(row, list) and len(row) == d_source, f"{where}[{i}]",
                  f"expected {d_source} entries")
         for x in row:
+            _require(_is_scalar(x), f"{where}[{i}]", f"bad entry {x!r} (not exact)")
             try:
                 entries.append(field.coerce(x))
             except (ValueError, ZeroDivisionError) as exc:
@@ -241,8 +257,10 @@ def corpus_to_json(corpus: Corpus) -> dict:
 def corpus_from_json(data: dict, where: str = "corpus") -> Corpus:
     _require(isinstance(data, dict), where, "expected an object")
     algebra = algebra_from_json(data.get("algebra"), where=f"{where}.algebra")
+    modules_data = data.get("modules", [])
+    _require(isinstance(modules_data, list), f"{where}.modules", "expected a list")
     members = []
-    for k, mdata in enumerate(data.get("modules", [])):
+    for k, mdata in enumerate(modules_data):
         loc = f"{where}.modules[{k}]"
         _require(isinstance(mdata, dict), loc, "expected an object")
         name = mdata.get("name")

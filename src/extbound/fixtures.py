@@ -19,7 +19,7 @@ from .algebra import (
 )
 from .modules import decompose
 from .homology import minimal_resolution
-from .bounds import Corpus
+from .bounds import Corpus, UnknownNameError
 from .fileio import FileFormatError, corpus_from_json
 
 FIXTURE_NAMES = ("A2", "LOOP2", "NAK3", "CNAK2")
@@ -46,7 +46,7 @@ def _presentation(name: str) -> AlgebraPresentation:
         rels = (make_relation(field, [(1, quiver.path(["a", "b"]))]),
                 make_relation(field, [(1, quiver.path(["b", "a"]))]))
         return AlgebraPresentation(field, quiver, rels, 2)
-    raise KeyError(f"unknown fixture {name!r}")
+    raise UnknownNameError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
 
 
 def fixture_algebra(name: str) -> Algebra:
@@ -83,7 +83,7 @@ def fixture_corpus(name: str) -> Corpus:
     if name in _corpus_cache:
         return _corpus_cache[name]
     if name not in FIXTURE_NAMES:
-        raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+        raise UnknownNameError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
     text = resources.files("extbound").joinpath(
         f"fixtures/{name.lower()}_indecomposables.json").read_text()
     import json

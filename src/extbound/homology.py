@@ -414,8 +414,13 @@ class PeriodicityCertificate:
         return self.witness.is_invertible and self.witness.failing_arrow() is None
 
     def to_json(self) -> dict:
-        return {"preperiod": self.preperiod, "period": self.period,
-                "witness_dims": list(self.witness.source.dims)}
+        out = {"preperiod": self.preperiod, "period": self.period,
+               "witness_dims": list(self.witness.source.dims)}
+        if self.undetermined_pairs:
+            # (a, b) pairs of syzygy degrees whose isomorphism test was
+            # undetermined before this recurrence was certified
+            out["undetermined_pairs"] = [list(pair) for pair in self.undetermined_pairs]
+        return out
 
 
 def periodicity_certificate(module: Representation, cutoff: int,

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import extbound as eb
 from extbound.cli import main
 from extbound.fileio import save_algebra, save_module
@@ -233,3 +235,45 @@ def test_malformed_file_exit_3(capsys, tmp_path):
 def test_unknown_fixture_exit_3(capsys):
     code, _, err = run(capsys, "gsc", "--algebra", "builtin:NOPE")
     assert code == 3 and "error:" in err
+
+
+def test_unknown_fixture_corpus_exit_3(capsys):
+    code, _, err = run(capsys, "ab", "--module", "builtin:NAK3:S1",
+                       "--corpus", "builtin:NOPE", "--format", "json")
+    assert code == 3 and "error: unknown fixture 'NOPE'" in err
+
+
+def test_unknown_corpus_member_exit_3(capsys):
+    code, _, err = run(capsys, "pd", "--module", "builtin:NAK3:S9")
+    assert code == 3 and "error: unknown corpus member 'S9'" in err
+
+
+def test_missing_or_wrongly_typed_json_field_exit_3(capsys, tmp_path, nak3):
+    path = tmp_path / "module.json"
+    save_module(eb.simple_module(nak3, 0), str(path), name="S1")
+    good = path.read_text()
+
+    def run_edited(edit):
+        data = json.loads(good)
+        edit(data)
+        path.write_text(json.dumps(data))
+        return run(capsys, "pd", "--module", str(path))
+
+    code, _, err = run_edited(lambda d: d.pop("dims"))
+    assert code == 3 and "dims: expected an object" in err
+    code, _, err = run_edited(lambda d: d["algebra"]["quiver"].update(arrows=None))
+    assert code == 3 and "quiver.arrows: expected a list" in err
+    code, _, err = run_edited(
+        lambda d: d["algebra"].update(relations=[[{"coef": 1.5, "path": ["a", "b"]}]]))
+    assert code == 3 and "coef: expected an integer" in err
+
+
+def test_internal_key_error_is_not_an_input_error(monkeypatch):
+    from extbound import cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "projective_dimension", broken)
+    with pytest.raises(KeyError):
+        main(["pd", "--module", "builtin:NAK3:S1"])

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extbound.exactla import (
-    Echelon, FieldMismatchError, FieldSpec, Matrix, column_space_basis,
-    express_in_columns, hstack, inverse, kernel_basis, rank, rref, solve,
+    DimensionMismatchError, Echelon, FieldMismatchError, FieldSpec, Matrix,
+    column_space_basis, express_in_columns, hstack, inverse, kernel_basis,
+    rank, rref, solve,
 )
 from extbound.modules import _unit_completion
 
@@ -238,3 +239,124 @@ def test_unit_completion_matches_greedy_rank(m, limit):
     basis = column_space_basis(m)
     assert _unit_completion(basis) == greedy_unit_completion(basis)
     assert _unit_completion(basis, limit) == greedy_unit_completion(basis, limit)
+
+
+# ----- arithmetic kernels against the plain per-entry loops ------------------
+
+F_BIG = FieldSpec.prime(2147483647)
+KERNEL_FIELDS = [F2, F101, F_BIG, Q]
+
+
+def ref_matmul(a, b):
+    fld, n, k, m = a.field, a.rows, a.cols, b.cols
+    out = []
+    for i in range(n):
+        for j in range(m):
+            acc = fld.zero
+            for t in range(k):
+                acc = fld.add(acc, fld.mul(a.entry(i, t), b.entry(t, j)))
+            out.append(acc)
+    return out
+
+
+def ref_apply(a, vec):
+    fld = a.field
+    out = []
+    for i in range(a.rows):
+        acc = fld.zero
+        for t in range(a.cols):
+            acc = fld.add(acc, fld.mul(a.entry(i, t), vec[t]))
+        out.append(acc)
+    return out
+
+
+def assert_canonical(fld, values):
+    for x in values:
+        if fld.kind == "prime":
+            assert type(x) is int and 0 <= x < fld.p, x
+        else:
+            assert type(x) is Fraction, x
+
+
+def entry_values(fld, raw):
+    """Integers for GF(p), possibly outside 0..p-1 when raw; Fractions (or
+    plain ints when raw) over the rationals."""
+    if fld.kind == "prime":
+        return st.integers(-2 * fld.p, 2 * fld.p) if raw else st.integers(0, fld.p - 1)
+    if raw:
+        return st.integers(-30, 30)
+    return st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
+
+
+def kernel_matrix(draw, fld, rows, cols, raw):
+    """A sparse (at most two nonzero entries) or dense matrix built with the
+    plain constructor, so raw entries stay as they were drawn."""
+    size = rows * cols
+    values = entry_values(fld, raw)
+    if draw(st.booleans()):
+        entries = [0 if raw else fld.zero] * size
+        for pos in draw(st.sets(st.integers(0, max(size - 1, 0)), max_size=2 if size else 0)):
+            entries[pos] = draw(values)
+    else:
+        entries = draw(st.lists(values, min_size=size, max_size=size))
+    return Matrix(fld, rows, cols, tuple(entries))
+
+
+@st.composite
+def kernel_operands(draw):
+    fld = draw(st.sampled_from(KERNEL_FIELDS))
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    a = kernel_matrix(draw, fld, n, k, draw(st.booleans()))
+    b = kernel_matrix(draw, fld, k, m, draw(st.booleans()))
+    c = kernel_matrix(draw, fld, n, k, draw(st.booleans()))
+    vec = draw(st.lists(entry_values(fld, draw(st.booleans())), min_size=k, max_size=k))
+    scalar = draw(st.integers(-3 * 2**31, 3 * 2**31) if fld.kind == "prime"
+                  else entry_values(fld, draw(st.booleans())))
+    return a, b, c, vec, scalar
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(kernel_operands())
+def test_kernels_match_reference_loops(ops):
+    a, b, c, vec, scalar = ops
+    fld = a.field
+    prod = a @ b
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert list(prod.entries) == ref_matmul(a, b)
+    assert list(a.apply(vec)) == ref_apply(a, vec)
+    assert list((a + c).entries) == [fld.add(x, y) for x, y in zip(a.entries, c.entries)]
+    assert list((a - c).entries) == [fld.sub(x, y) for x, y in zip(a.entries, c.entries)]
+    assert list((-a).entries) == [fld.neg(x) for x in a.entries]
+    assert list(a.scale(scalar).entries) == [fld.mul(fld.coerce(scalar), x) for x in a.entries]
+    for result in (prod, a + c, a - c, -a, a.scale(scalar)):
+        assert result.field is fld and len(result.entries) == result.rows * result.cols
+        assert_canonical(fld, result.entries)
+    assert_canonical(fld, a.apply(vec))
+
+
+@pytest.mark.parametrize("shapes", [((0, 3), (3, 2)), ((2, 0), (0, 3)), ((2, 3), (3, 0)),
+                                    ((0, 0), (0, 0))])
+def test_empty_products_check_field_and_shape_first(shapes):
+    (n, k), (k2, m) = shapes
+    a = Matrix.zeros(F5, n, k)
+    with pytest.raises(FieldMismatchError):
+        a @ Matrix.zeros(F3, k2, m)
+    with pytest.raises(DimensionMismatchError):
+        a @ Matrix.zeros(F5, k2 + 1, m)
+    with pytest.raises(FieldMismatchError):
+        a + Matrix.zeros(F3, n, k)
+    with pytest.raises(DimensionMismatchError):
+        a + Matrix.zeros(F5, n, k + 1)
+    with pytest.raises(DimensionMismatchError):
+        a - Matrix.zeros(F5, n + 1, k)
+    prod = a @ Matrix.zeros(F5, k2, m)
+    assert (prod.rows, prod.cols, prod.entries) == (n, m, (0,) * (n * m))
+
+
+@pytest.mark.parametrize("c", [-1, -7, 5, 12, -(10**20) - 3, 10**20 + 3])
+def test_scale_by_unreduced_int_is_canonical(c):
+    m = Matrix.from_rows(F5, [[1, 2, 0], [3, 4, 1]])
+    scaled = m.scale(c)
+    assert scaled.entries == tuple(c * x % 5 for x in m.entries)
+    assert_canonical(F5, scaled.entries)
+    assert_canonical(Q, Matrix(Q, 1, 2, (1, 2)).scale(c).entries)

@@ -124,6 +124,19 @@ def test_periodicity_verify_rejects_non_intertwining_witness(loop2):
     assert eb.PeriodicityCertificate(0, 1, ModuleMap.identity(p1)).verify()
 
 
+def test_periodicity_certificate_json_reports_undetermined_pairs(loop2):
+    import json
+    from extbound.fileio import dumps_canonical
+    from extbound.modules import ModuleMap
+    s1 = eb.simple_module(loop2, 0)
+    cert = eb.PeriodicityCertificate(1, 2, ModuleMap.identity(s1), ((0, 1), (0, 2)))
+    data = json.loads(dumps_canonical(cert.to_json()))
+    assert data["undetermined_pairs"] == [[0, 1], [0, 2]]
+    assert [tuple(pair) for pair in data["undetermined_pairs"]] == list(cert.undetermined_pairs)
+    found = eb.periodicity_certificate(s1, 10)
+    assert found.undetermined_pairs == () and "undetermined_pairs" not in found.to_json()
+
+
 def test_periodicity_implies_periodic_ext(cnak2, corpora):
     s1 = eb.simple_module(cnak2, 0)
     cert = eb.periodicity_certificate(s1, 10)
