@@ -480,14 +480,8 @@ def zero_representation(algebra: Algebra) -> Representation:
 
 
 def direct_sum(reps: Sequence[Representation]) -> Representation:
-    rep, _, _ = direct_sum_with_maps(reps)
-    return rep
-
-
-def direct_sum_with_maps(reps: Sequence[Representation]):
-    """Block-diagonal direct sum plus the canonical inclusions and projections."""
-    from .modules import ModuleMap  # late import: modules depends on this file
-
+    """Block-diagonal direct sum, summands in order at every vertex; it runs
+    the relation check (direct_sum_with_maps adds the canonical maps)."""
     reps = list(reps)
     if not reps:
         raise ValueError("direct sum of an empty family is ambiguous; pass the algebra instead")
@@ -510,8 +504,17 @@ def direct_sum_with_maps(reps: Sequence[Representation]):
             ro += r.dims[a.target]
             co += r.dims[a.source]
         mats.append(Matrix.from_rows(fld, block) if rows_t else Matrix.zeros(fld, 0, cols_s))
-    total = Representation(alg, dims, tuple(mats))
+    return Representation(alg, dims, tuple(mats))
 
+
+def direct_sum_with_maps(reps: Sequence[Representation]):
+    """Block-diagonal direct sum plus the canonical inclusions and projections."""
+    from .modules import ModuleMap  # late import: modules depends on this file
+
+    reps = list(reps)
+    total = direct_sum(reps)
+    alg, dims = total.algebra, total.dims
+    fld = alg.field
     incls, projs = [], []
     offset = [0] * alg.vertex_count
     for r in reps:

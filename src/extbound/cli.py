@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success/verified, 1 property violation or conjecture
-counterexample, 2 undetermined at the cutoff, 3 input error.  Reports echo
-the cutoff and seed they were produced with; JSON output is canonical
-(sorted keys), so identical inputs give byte-identical reports.
+counterexample, 2 undetermined at the cutoff, 3 input error (a bad file,
+name or command line).  Reports echo the cutoff and seed they were produced
+with; JSON output is canonical (sorted keys), so identical inputs give
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ def _load_module_arg(value: str, algebra=None):
         return parts[2], fixture_module(parts[1], parts[2])
     name, rep = load_module(value, algebra=algebra)
     return name or value, rep
+
+
+def _load_against_arg(value: str, algebra):
+    if value == "regular":
+        return "regular", regular_module(algebra)
+    return _load_module_arg(value, algebra=algebra)
 
 
 def _load_corpus_arg(value: str):
@@ -163,8 +170,7 @@ def cmd_resolve(args):
 
 def cmd_ext(args):
     name_m, m_mod = _load_module_arg(args.module)
-    name_n, n_mod = _load_module_arg(args.against, algebra=m_mod.algebra) \
-        if args.against != "regular" else ("regular", regular_module(m_mod.algebra))
+    name_n, n_mod = _load_against_arg(args.against, m_mod.algebra)
     table = ext_table(m_mod, n_mod, args.cutoff)
     payload = dict(_meta(args, "ext"), module=name_m, against=name_n,
                    table=table.to_json())
@@ -186,10 +192,7 @@ def cmd_pd(args, side="pd"):
 
 def cmd_onset(args):
     name_m, m_mod = _load_module_arg(args.module)
-    if args.against == "regular":
-        name_n, n_mod = "regular", regular_module(m_mod.algebra)
-    else:
-        name_n, n_mod = _load_module_arg(args.against, algebra=m_mod.algebra)
+    name_n, n_mod = _load_against_arg(args.against, m_mod.algebra)
     onset = vanishing_onset(m_mod, n_mod, args.cutoff)
     payload = dict(_meta(args, "onset"), module=name_m, against=name_n,
                    result=onset.to_json())
@@ -224,15 +227,12 @@ def cmd_bounds(args):
     rows = [[name, _ab_text(lab), _ab_text(rab), _pd_text(pd_r), _pd_text(id_r)]
             for name, lab, rab, pd_r, id_r in report.member_stats]
     human = _table(rows, ["module", "lab", "rab", "pd", "id"])
-    human += (f"\nglAb={_bv(report.glab)} grAb={_bv(report.grab)} gAb={_bv(report.gab)}"
-              f"\nfPD={_bv(report.fpd)} fID={_bv(report.fid)}"
-              f" fLAb={_bv(report.flab)} fRAb={_bv(report.frab)}"
+    human += (f"\nglAb={_ab_text(report.glab)} grAb={_ab_text(report.grab)}"
+              f" gAb={_ab_text(report.gab)}"
+              f"\nfPD={_ab_text(report.fpd)} fID={_ab_text(report.fid)}"
+              f" fLAb={_ab_text(report.flab)} fRAb={_ab_text(report.frab)}"
               f"\ncontains regular module: {report.contains_regular}")
     return (0 if report.gab.exact else 2), payload, human
-
-
-def _bv(b) -> str:
-    return f"{'Exact' if b.exact else 'LowerBound'}({b.value})"
 
 
 def cmd_tilting(args):
@@ -454,8 +454,16 @@ def _add_common(sp, *, cutoff=True, maxlen=False, module=False, against=False,
         sp.add_argument("--algebra", required=True, help="algebra file or builtin:NAME")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (input error); argparse's own 2 means undetermined here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extbound",
         description="Homological invariants of bounded quiver algebras with "
                     "machine-checkable certificates.")

@@ -104,21 +104,20 @@ class FieldSpec:
         return 1 if self.kind == "prime" else Fraction(1)
 
     def coerce(self, value: int | str | Fraction) -> Scalar:
-        """Normalize an int, Fraction or decimal/fraction string to an element."""
-        if value.__class__ is int and self.p is not None:
-            return value % self.p
-        if self.kind == "prime":
-            if isinstance(value, str):
-                value = Fraction(value)
-            if isinstance(value, Fraction):
-                if value.denominator == 1:
-                    value = value.numerator
-                else:
-                    value = value.numerator * pow(value.denominator, -1, self.p)
-            return value % self.p
-        if isinstance(value, (str, int)):
-            return Fraction(value)
-        return value
+        """Normalize an int, Fraction or decimal/fraction string to an element.
+
+        Anything else raises TypeError: a float is inexact and a bool is not a
+        number here (the file loaders reject both the same way)."""
+        cls = value.__class__
+        if cls is int:
+            return value % self.p if self.p is not None else Fraction(value)
+        if cls is str:
+            value = Fraction(value)
+        elif not isinstance(value, Fraction):
+            raise TypeError(f"field elements are int, str or Fraction, not {cls.__name__}")
+        if self.p is None:
+            return value
+        return value.numerator * pow(value.denominator, -1, self.p) % self.p
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return (a + b) % self.p if self.kind == "prime" else a + b

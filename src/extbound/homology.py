@@ -21,14 +21,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import threading
 from dataclasses import dataclass
 
 from .exactla import Matrix, rank
-from .algebra import Algebra, Path, Representation, dual_module, path_action, regular_module
+from .algebra import Algebra, Representation, dual_module, regular_module
 from .modules import (
-    CoverResult, InternalCheckError, ModuleMap, ProjectiveBundle, hom_basis,
-    is_isomorphic, kernel, projective_bundle, projective_cover,
+    CoverResult, InternalCheckError, ModuleMap, ProjectiveBundle, _hom_from_generators,
+    _path_actions, hom_basis, is_isomorphic, kernel, projective_bundle, projective_cover,
 )
 
 
@@ -38,6 +39,10 @@ class MinimalResolution:
     After extend(k) the terms P_0..P_k, the syzygies up to index k+1 and the
     differentials d_1..d_k are available (or the resolution has terminated
     earlier).  Extension is guarded by a lock; published data is immutable.
+
+    Past the computed end, the accessors of a terminated resolution give zero
+    terms and its stored zero syzygy; those of an unterminated one raise
+    ValueError, since the terms there are unknown, not zero.
     """
 
     def __init__(self, module: Representation):
@@ -84,23 +89,32 @@ class MinimalResolution:
                 _disk_cache_store(self)
 
     def multiplicities(self, k: int) -> tuple[int, ...]:
+        """Summand counts of P_k (past-end contract in the class docstring)."""
         if k < len(self.covers):
             mult = [0] * self.algebra.vertex_count
             for v, _ in self.covers[k].bundle.summands:
                 mult[v] += 1
             return tuple(mult)
+        self._past_end(k, "term")
         return (0,) * self.algebra.vertex_count
 
     def bundle(self, k: int) -> ProjectiveBundle:
         if k < len(self.covers):
             return self.covers[k].bundle
-        return projective_bundle(self.algebra, (0,) * self.algebra.vertex_count)
+        self._past_end(k, "term")
+        return ProjectiveBundle(self.syzygies[-1], (), ((),) * self.algebra.vertex_count, ())
 
     def syzygy(self, k: int) -> Representation:
+        """Syzygy k (past-end contract in the class docstring)."""
         if k < len(self.syzygies):
             return self.syzygies[k]
-        from .algebra import zero_representation
-        return zero_representation(self.algebra)
+        self._past_end(k, "syzygy")
+        return self.syzygies[-1]
+
+    def _past_end(self, k: int, what: str) -> None:
+        if not self.terminated:
+            raise ValueError(f"{what} {k} is past the resolution, which is computed "
+                             f"through degree {self.length} and has not terminated")
 
     def differential(self, k: int) -> ModuleMap:
         """d_k: P_k -> P_{k-1}, the cover of syzygy k followed by inclusion."""
@@ -168,8 +182,16 @@ def _disk_cache_store(res: MinimalResolution) -> None:
             "inclusion": [_matrix_payload(m) for m in res.inclusions[k].vertex_maps],
         })
     path = os.path.join(root, _module_cache_key(res.module) + ".json")
-    with open(path, "w") as fh:
-        json.dump({"schema_version": "1", "steps": steps}, fh, sort_keys=True)
+    # write a temp file beside the entry and rename it over, so a reader never
+    # sees a half-written entry and a failed write keeps the old one
+    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump({"schema_version": "1", "steps": steps}, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _disk_cache_load(module: Representation) -> MinimalResolution | None:
@@ -198,8 +220,8 @@ def _disk_cache_load(module: Representation) -> MinimalResolution | None:
             res.syzygies.append(syz)
             res.inclusions.append(incl)
         return res
-    except (ValueError, KeyError, OSError):
-        return None  # stale or corrupt cache entries are simply recomputed
+    except (ValueError, KeyError, IndexError, TypeError, OSError):
+        return None  # stale, corrupt or malformed cache entries are simply recomputed
 
 
 # ----- Ext tables ------------------------------------------------------------
@@ -219,29 +241,6 @@ class ExtTable:
         lines = ["degree,dim"]
         lines.extend(f"{i},{d}" for i, d in enumerate(self.dims))
         return "\n".join(lines) + "\n"
-
-
-def _path_operator_cache(n_mod: Representation):
-    cache: dict[Path, Matrix] = {}
-
-    def op(path: Path) -> Matrix:
-        m = cache.get(path)
-        if m is None:
-            m = cache[path] = path_action(n_mod, path)
-        return m
-    return op
-
-
-def _hom_from_generators(bundle: ProjectiveBundle, n_mod: Representation,
-                         gen_values: list[tuple], op) -> ModuleMap:
-    """The hom P -> N determined by a value in N_{vertex(s)} per generator s."""
-    alg = bundle.rep.algebra
-    fld = alg.field
-    mats = []
-    for v in range(alg.vertex_count):
-        cols = [op(path).apply(gen_values[s]) for s, path in bundle.vertex_labels[v]]
-        mats.append(Matrix.from_columns(fld, cols, nrows=n_mod.dims[v]))
-    return ModuleMap(bundle.rep, n_mod, tuple(mats))
 
 
 def _hom_space_basis(bundle: ProjectiveBundle, n_mod: Representation, op) -> list[ModuleMap]:
@@ -298,7 +297,7 @@ def ext_dims_via_complex(m_mod: Representation, n_mod: Representation,
                          cutoff: int) -> list[int]:
     """Ext dimensions as cohomology of Hom(P_*, N)."""
     res = minimal_resolution(m_mod, cutoff + 1)
-    op = _path_operator_cache(n_mod)
+    op = _path_actions(n_mod)
     space = [sum(mult * n_mod.dims[v] for v, mult in enumerate(res.multiplicities(k)))
              for k in range(cutoff + 2)]
     ranks = [0] * (cutoff + 2)
@@ -321,7 +320,7 @@ def ext_dims_via_stable(m_mod: Representation, n_mod: Representation,
     """Ext dimensions from hom spaces of syzygies modulo maps factoring
     through the covering projective."""
     res = minimal_resolution(m_mod, cutoff)
-    op = _path_operator_cache(n_mod)
+    op = _path_actions(n_mod)
     dims = [len(hom_basis(m_mod, n_mod))]
     for i in range(1, cutoff + 1):
         syz = res.syzygy(i)

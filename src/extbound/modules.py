@@ -18,8 +18,8 @@ from .exactla import (
     kernel_basis, rank, solve,
 )
 from .algebra import (
-    Algebra, Path, Representation, direct_sum_with_maps, dual_module,
-    path_action, projective_module, zero_representation,
+    Algebra, Path, Representation, direct_sum, direct_sum_with_maps,
+    dual_module, path_action, projective_module, zero_representation,
 )
 
 
@@ -656,10 +656,7 @@ def projective_bundle(algebra: Algebra, multiplicities: tuple[int, ...]) -> Proj
     summands = tuple((v, c) for v in range(algebra.vertex_count)
                      for c in range(multiplicities[v]))
     parts = [projective_module(algebra, v) for v, _ in summands]
-    if parts:
-        rep, _, _ = direct_sum_with_maps(parts)
-    else:
-        rep = zero_representation(algebra)
+    rep = direct_sum(parts) if parts else zero_representation(algebra)
     labels: list[list[tuple[int, Path]]] = [[] for _ in range(algebra.vertex_count)]
     gens: list[tuple[int, int]] = []
     offsets = [0] * algebra.vertex_count
@@ -673,6 +670,31 @@ def projective_bundle(algebra: Algebra, multiplicities: tuple[int, ...]) -> Proj
             offsets[v] += len(algebra.basis_by_block.get((pv, v), ()))
     return ProjectiveBundle(rep, summands,
                             tuple(tuple(l) for l in labels), tuple(gens))
+
+
+def _path_actions(rep: Representation):
+    """path -> path_action(rep, path), memoized for the caller's lifetime."""
+    cache: dict[Path, Matrix] = {}
+
+    def op(path: Path) -> Matrix:
+        m = cache.get(path)
+        if m is None:
+            m = cache[path] = path_action(rep, path)
+        return m
+    return op
+
+
+def _hom_from_generators(bundle: ProjectiveBundle, n_mod: Representation,
+                         gen_values: list[tuple], op) -> ModuleMap:
+    """The hom P -> N determined by a value in N_{vertex(s)} per generator s;
+    op is _path_actions(n_mod)."""
+    alg = bundle.rep.algebra
+    fld = alg.field
+    mats = []
+    for v in range(alg.vertex_count):
+        cols = [op(path).apply(gen_values[s]) for s, path in bundle.vertex_labels[v]]
+        mats.append(Matrix.from_columns(fld, cols, nrows=n_mod.dims[v]))
+    return ModuleMap(bundle.rep, n_mod, tuple(mats))
 
 
 @dataclass(frozen=True)
@@ -701,26 +723,8 @@ def projective_cover(rep: Representation) -> CoverResult:
         d = rep.dims[v]
         lifts[v] = [tuple(fld.one if i == j else fld.zero for i in range(d))
                     for j in _unit_completion(rad_incl.vertex_maps[v], tops[v])]
-    # assemble the cover vertexwise from path actions on the lifted generators
-    action_cache: dict[Path, Matrix] = {}
-    def act(path: Path) -> Matrix:
-        m = action_cache.get(path)
-        if m is None:
-            m = action_cache[path] = path_action(rep, path)
-        return m
-    copy_counter: dict[int, int] = {}
-    gen_vectors: list[tuple] = []
-    for (pv, _) in bundle.summands:
-        c = copy_counter.get(pv, 0)
-        copy_counter[pv] = c + 1
-        gen_vectors.append(lifts[pv][c])
-    mats = []
-    for v in range(alg.vertex_count):
-        cols = []
-        for (s, path) in bundle.vertex_labels[v]:
-            cols.append(act(path).apply(gen_vectors[s]))
-        mats.append(Matrix.from_columns(fld, cols, nrows=rep.dims[v]))
-    cover = ModuleMap(bundle.rep, rep, tuple(mats))
+    cover = _hom_from_generators(bundle, rep, [lifts[v][c] for v, c in bundle.summands],
+                                 _path_actions(rep))
     if not cover.is_surjective:
         raise InternalCheckError("projective cover is not surjective")
     # minimality: kernel of the cover lies in rad P, checked vertexwise

@@ -176,6 +176,7 @@ def test_direct_sum_maps(a2):
     s1 = eb.simple_module(a2, 0)
     total, incls, projs = eb.direct_sum_with_maps([p1, s1])
     assert total.dims == (2, 1)
+    assert eb.direct_sum([p1, s1]) == total  # s1 is zero at the second vertex
     for incl, proj in zip(incls, projs):
         comp = proj @ incl
         assert comp.flatten() == eb.ModuleMap.identity(incl.source).flatten()

@@ -232,6 +232,18 @@ def test_malformed_file_exit_3(capsys, tmp_path):
     assert code == 3 and "error:" in err
 
 
+def test_usage_errors_exit_3_not_undetermined(capsys):
+    # exit 2 is reserved for "undetermined at the cutoff"
+    for bad in (["--cutoff", "abc"], ["--format", "xml"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["pd", "--module", "builtin:LOOP2:S1", *bad])
+        assert exc.value.code == 3
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["pd", "--help"])
+    assert exc.value.code == 0
+
+
 def test_unknown_fixture_exit_3(capsys):
     code, _, err = run(capsys, "gsc", "--algebra", "builtin:NOPE")
     assert code == 3 and "error:" in err

@@ -35,6 +35,23 @@ def test_field_coerce_and_fmt():
     assert F101.coerce("1/2") == F101.mul(1, F101.inv(2))
 
 
+def test_field_coerce_accepts_only_exact_values():
+    for fld in (F5, Q):
+        for bad in (1.5, 0.1, 2.0, True, None):
+            with pytest.raises(TypeError):
+                fld.coerce(bad)
+        with pytest.raises(TypeError):
+            Matrix.from_rows(fld, [[1, 0.1]])
+        with pytest.raises(TypeError):
+            Matrix.identity(fld, 2).scale(0.5)
+    assert Matrix.from_rows(Q, [["0.1", 3, Fraction(1, 3)]]).entries == \
+        (Fraction(1, 10), Fraction(3), Fraction(1, 3))
+    assert all(type(x) is Fraction for x in Matrix.from_rows(Q, [[1, "2"]]).entries)
+    assert Matrix.from_rows(F5, [["0.5", -1, Fraction(3, 2), Fraction(10, 1)]]).entries == \
+        (3, 4, 4, 0)
+    assert all(type(x) is int for x in Matrix.from_rows(F5, [[Fraction(6), "7"]]).entries)
+
+
 def test_rref_identity_f5():
     m = Matrix.identity(F5, 2)
     red, pivots, rk = rref(m)

@@ -1,5 +1,10 @@
+import json
+
+import pytest
+
 import extbound as eb
 from extbound import PdAtLeast, PdFinite, PdPeriodic
+from extbound import homology
 
 
 def test_resolution_nak3_simple(nak3):
@@ -7,6 +12,10 @@ def test_resolution_nak3_simple(nak3):
     assert [res.multiplicities(k) for k in range(4)] == \
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
     assert res.terminated_at == 3
+    # past the end of a terminated resolution: its stored zero syzygy, no new terms
+    assert res.syzygy(9) is res.syzygies[-1] and res.syzygies[-1].is_zero
+    assert res.multiplicities(9) == (0, 0, 0)
+    assert res.bundle(9).summands == () and res.bundle(9).rep.is_zero
 
 
 def test_resolution_loop2_never_terminates(loop2):
@@ -35,6 +44,22 @@ def test_resolution_extends_incrementally(loop2):
     res2 = eb.minimal_resolution(fresh, 5)
     assert res2 is res1
     assert len(res2.covers) > depth1 >= 3
+
+
+def test_unterminated_resolution_past_end_raises(loop2):
+    # a fresh structural module; pd is periodic-infinite, so nothing past the
+    # computed end is known to be zero
+    s = eb.simple_module(loop2, 0)
+    res = eb.minimal_resolution(eb.direct_sum([s, s]), 2)
+    assert not res.terminated
+    end = f"computed through degree {res.length} and has not terminated"
+    with pytest.raises(ValueError, match=end):
+        res.syzygy(len(res.syzygies))
+    with pytest.raises(ValueError, match=end):
+        res.multiplicities(len(res.covers))
+    with pytest.raises(ValueError, match=end):
+        res.bundle(len(res.covers))
+    assert res.syzygy(len(res.syzygies) - 1).dims == (2,)
 
 
 def test_resolution_exactness(nak3):
@@ -212,3 +237,44 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch, nak3):
     assert [reloaded.multiplicities(k) for k in range(4)] == \
         [res.multiplicities(k) for k in range(4)]
     nak3._resolution_memo.clear()
+
+
+@pytest.mark.parametrize("entry", [
+    {"steps": 5}, [1, 2], {"steps": [{"multiplicities": 3}]},
+    {"steps": [{"multiplicities": []}]},
+])
+def test_disk_cache_malformed_entry_is_a_miss(tmp_path, monkeypatch, nak3, entry):
+    monkeypatch.setenv("EXTBOUND_CACHE_DIR", str(tmp_path))
+    s1 = eb.simple_module(nak3, 0)
+    path = tmp_path / (homology._module_cache_key(s1) + ".json")
+    path.write_text(json.dumps(entry))
+    nak3._resolution_memo.clear()
+    try:
+        res = eb.minimal_resolution(s1, 3)
+        assert [res.multiplicities(k) for k in range(4)] == \
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+        assert len(json.loads(path.read_text())["steps"]) == 3  # rewritten
+    finally:
+        nak3._resolution_memo.clear()
+
+
+def test_disk_cache_write_is_atomic(tmp_path, monkeypatch, nak3):
+    monkeypatch.setenv("EXTBOUND_CACHE_DIR", str(tmp_path))
+    s1 = eb.simple_module(nak3, 0)
+    nak3._resolution_memo.clear()
+    try:
+        eb.minimal_resolution(s1, 0)
+        [entry] = tmp_path.iterdir()
+        before = entry.read_text()
+
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write('{"steps": [')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(homology.json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            eb.minimal_resolution(s1, 3)
+        assert list(tmp_path.iterdir()) == [entry]  # no temp file left behind
+        assert entry.read_text() == before
+    finally:
+        nak3._resolution_memo.clear()
