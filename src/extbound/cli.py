@@ -3,7 +3,8 @@
 Exit codes: 0 success/verified, 1 property violation or conjecture
 counterexample, 2 undetermined at the cutoff, 3 input error (a bad file,
 name or command line).  Reports echo the cutoff and seed they were produced
-with; JSON output is canonical (sorted keys), so identical inputs give
+with; every computation is deterministic, so --seed has no effect and is only
+echoed.  JSON output is canonical (sorted keys), so identical inputs give
 byte-identical reports.
 """
 
@@ -137,7 +138,7 @@ def cmd_algebra_info(args):
 
 def cmd_module_check(args):
     name, rep = _load_module_arg(args.module)
-    dec = decompose(rep, seed=args.seed)
+    dec = decompose(rep)
     payload = dict(_meta(args, "module check"), name=name,
                    dims=list(rep.dims), total_dim=rep.total_dim,
                    valid=True,
@@ -237,7 +238,7 @@ def cmd_bounds(args):
 
 def cmd_tilting(args):
     name, rep = _load_module_arg(args.module)
-    report = is_tilting(rep, args.cutoff, args.maxlen, seed=args.seed)
+    report = is_tilting(rep, args.cutoff, args.maxlen)
     payload = dict(_meta(args, "tilting"), module=name, report=report.to_json())
     if args.export_chain and report.coresolution.success:
         from .tilting import coresolution_corpus
@@ -258,7 +259,7 @@ def cmd_tilting(args):
 
 def cmd_wakamatsu(args):
     name, rep = _load_module_arg(args.module)
-    report = is_wakamatsu(rep, args.cutoff, args.maxlen, seed=args.seed)
+    report = is_wakamatsu(rep, args.cutoff, args.maxlen)
     payload = dict(_meta(args, "wakamatsu"), module=name, report=report.to_json())
     code = 2 if report.verdict == "undetermined" else 0
     human = (f"{name}: {report.verdict}"
@@ -269,7 +270,7 @@ def cmd_wakamatsu(args):
 
 def cmd_ewtc(args):
     name, rep = _load_module_arg(args.module)
-    report = ewtc_check(rep, args.cutoff, args.maxlen, seed=args.seed)
+    report = ewtc_check(rep, args.cutoff, args.maxlen)
     payload = dict(_meta(args, "ewtc"), module=name, report=report.to_json())
     code = {"confirmed": 0, "not_applicable": 0,
             "undetermined": 2, "counterexample": 1}[report.status]
@@ -338,7 +339,7 @@ def cmd_corpus(args):
     return 0, payload, f"wrote {len(corpus)} modules to {args.out}"
 
 
-def _fixture_statements(name: str, cutoff: int, maxlen: int, seed: int) -> list[dict]:
+def _fixture_statements(name: str, cutoff: int, maxlen: int) -> list[dict]:
     corpus = fixture_corpus(name)
     alg = corpus.algebra
     statements = []
@@ -349,22 +350,22 @@ def _fixture_statements(name: str, cutoff: int, maxlen: int, seed: int) -> list[
                            "detail": s.detail})
 
     reg = regular_module(alg)
-    tilt = is_tilting(reg, cutoff, maxlen, seed=seed)
+    tilt = is_tilting(reg, cutoff, maxlen)
     statements.append({"statement": "regular-module-is-tilting",
                        "status": "pass" if tilt.verdict == "tilting" else "fail",
                        "detail": tilt.verdict})
-    wak = is_wakamatsu(reg, cutoff, maxlen, seed=seed)
+    wak = is_wakamatsu(reg, cutoff, maxlen)
     statements.append({"statement": "regular-module-is-wakamatsu",
                        "status": "pass" if wak.verdict == "wakamatsu" else "fail",
                        "detail": wak.verdict})
-    ew = ewtc_check(reg, cutoff, maxlen, seed=seed)
+    ew = ewtc_check(reg, cutoff, maxlen)
     statements.append({"statement": "ewtc-instance-regular",
                        "status": "pass" if ew.status == "confirmed" else "fail",
                        "detail": ew.detail})
 
     if name == "A2":
         t_good = direct_sum([projective_module(alg, 0), simple_module(alg, 0)])
-        rep_good = is_tilting(t_good, cutoff, maxlen, seed=seed)
+        rep_good = is_tilting(t_good, cutoff, maxlen)
         ok = (rep_good.verdict == "tilting"
               and isinstance(rep_good.pd, PdFinite) and rep_good.pd.value == 1
               and rep_good.coresolution.length == 1)
@@ -375,7 +376,7 @@ def _fixture_statements(name: str, cutoff: int, maxlen: int, seed: int) -> list[
                                      f"coresolution length "
                                      f"{rep_good.coresolution.length}"})
         t_bad = simple_module(alg, 0)
-        rep_bad = is_tilting(t_bad, cutoff, maxlen, seed=seed)
+        rep_bad = is_tilting(t_bad, cutoff, maxlen)
         ok = rep_bad.verdict == "not_tilting" and not rep_bad.coresolution.success
         statements.append({"statement": "a2-simple-rejected-at-coresolution",
                            "status": "pass" if ok else "fail",
@@ -412,7 +413,7 @@ def cmd_verify(args):
     fixtures = {}
     totals = {"pass": 0, "fail": 0, "skipped": 0}
     for n in names:
-        statements = _fixture_statements(n, args.cutoff, args.maxlen, args.seed)
+        statements = _fixture_statements(n, args.cutoff, args.maxlen)
         for s in statements:
             totals[s["status"]] += 1
         fixtures[n] = {"statements": statements}
@@ -434,7 +435,7 @@ def cmd_verify(args):
 
 def _add_common(sp, *, cutoff=True, maxlen=False, module=False, against=False,
                 corpus=False, algebra=False):
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
+    sp.add_argument("--seed", type=int, default=0, help="accepted and echoed; has no effect")
     sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
     if cutoff:
         sp.add_argument("--cutoff", "--max", type=int, default=20, dest="cutoff",

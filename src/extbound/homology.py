@@ -12,24 +12,19 @@ about all sufficiently large degrees are made only under a certificate: a
 terminated resolution or a verified syzygy periodicity.  Cutoffs alone never
 turn into "for all large degrees" statements.
 
-Resolutions are memoized per algebra and extended incrementally; setting the
-environment variable EXTBOUND_CACHE_DIR additionally persists them to disk.
+Resolutions are memoized per algebra and extended incrementally.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
 import threading
 from dataclasses import dataclass
 
 from .exactla import Matrix, rank
-from .algebra import Algebra, Representation, dual_module, regular_module
+from .algebra import Representation, dual_module, regular_module
 from .modules import (
     CoverResult, InternalCheckError, ModuleMap, ProjectiveBundle, _hom_from_generators,
-    _path_actions, hom_basis, is_isomorphic, kernel, projective_bundle, projective_cover,
+    _path_actions, hom_basis, is_isomorphic, kernel, projective_cover,
 )
 
 
@@ -42,7 +37,8 @@ class MinimalResolution:
 
     Past the computed end, the accessors of a terminated resolution give zero
     terms and its stored zero syzygy; those of an unterminated one raise
-    ValueError, since the terms there are unknown, not zero.
+    ValueError, since the terms there are unknown, not zero.  A negative
+    degree raises ValueError.
     """
 
     def __init__(self, module: Representation):
@@ -74,7 +70,6 @@ class MinimalResolution:
 
     def extend(self, upto: int) -> None:
         with self._lock:
-            changed = False
             while len(self.covers) <= upto:
                 current = self.syzygies[len(self.covers)]
                 if current.is_zero:
@@ -84,37 +79,38 @@ class MinimalResolution:
                 syz, incl = kernel(cov.cover)
                 self.syzygies.append(syz)
                 self.inclusions.append(incl)
-                changed = True
-            if changed:
-                _disk_cache_store(self)
 
     def multiplicities(self, k: int) -> tuple[int, ...]:
         """Summand counts of P_k (past-end contract in the class docstring)."""
-        if k < len(self.covers):
+        if self._computed(k, len(self.covers), "term"):
             mult = [0] * self.algebra.vertex_count
             for v, _ in self.covers[k].bundle.summands:
                 mult[v] += 1
             return tuple(mult)
-        self._past_end(k, "term")
         return (0,) * self.algebra.vertex_count
 
     def bundle(self, k: int) -> ProjectiveBundle:
-        if k < len(self.covers):
+        if self._computed(k, len(self.covers), "term"):
             return self.covers[k].bundle
-        self._past_end(k, "term")
         return ProjectiveBundle(self.syzygies[-1], (), ((),) * self.algebra.vertex_count, ())
 
     def syzygy(self, k: int) -> Representation:
         """Syzygy k (past-end contract in the class docstring)."""
-        if k < len(self.syzygies):
+        if self._computed(k, len(self.syzygies), "syzygy"):
             return self.syzygies[k]
-        self._past_end(k, "syzygy")
         return self.syzygies[-1]
 
-    def _past_end(self, k: int, what: str) -> None:
+    def _computed(self, k: int, stored: int, what: str) -> bool:
+        """Whether degree k is among the stored ones; a negative degree, or
+        one past the end of an unterminated resolution, raises ValueError."""
+        if k < 0:
+            raise ValueError(f"{what} degree must be >= 0, got {k}")
+        if k < stored:
+            return True
         if not self.terminated:
             raise ValueError(f"{what} {k} is past the resolution, which is computed "
                              f"through degree {self.length} and has not terminated")
+        return False
 
     def differential(self, k: int) -> ModuleMap:
         """d_k: P_k -> P_{k-1}, the cover of syzygy k followed by inclusion."""
@@ -131,97 +127,9 @@ def minimal_resolution(module: Representation, cutoff: int) -> MinimalResolution
     memo = module.algebra._resolution_memo
     res = memo.get(module)
     if res is None:
-        res = _disk_cache_load(module)
-        if res is None:
-            res = MinimalResolution(module)
-        memo[module] = res
+        res = memo[module] = MinimalResolution(module)
     res.extend(cutoff)
     return res
-
-
-# ----- optional on-disk memo store ------------------------------------------
-
-def _cache_dir() -> str | None:
-    return os.environ.get("EXTBOUND_CACHE_DIR") or None
-
-
-def _module_cache_key(module: Representation) -> str:
-    payload = {
-        "algebra": repr(module.algebra.presentation.canonical_key()),
-        "dims": list(module.dims),
-        "matrices": [[module.algebra.field.fmt(x) for x in m.entries]
-                     for m in module.arrow_matrices],
-    }
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-    return digest[:24]
-
-
-def _matrix_payload(m: Matrix) -> dict:
-    fld = m.field
-    return {"rows": m.rows, "cols": m.cols, "entries": [fld.fmt(x) for x in m.entries]}
-
-
-def _matrix_from_payload(fld, data) -> Matrix:
-    return Matrix(fld, data["rows"], data["cols"],
-                  tuple(fld.coerce(x) for x in data["entries"]))
-
-
-def _disk_cache_store(res: MinimalResolution) -> None:
-    root = _cache_dir()
-    if root is None:
-        return
-    os.makedirs(root, exist_ok=True)
-    steps = []
-    for k, cov in enumerate(res.covers):
-        steps.append({
-            "multiplicities": list(res.multiplicities(k)),
-            "cover": [_matrix_payload(m) for m in cov.cover.vertex_maps],
-            "syzygy_dims": list(res.syzygies[k + 1].dims),
-            "syzygy_matrices": [_matrix_payload(m)
-                                for m in res.syzygies[k + 1].arrow_matrices],
-            "inclusion": [_matrix_payload(m) for m in res.inclusions[k].vertex_maps],
-        })
-    path = os.path.join(root, _module_cache_key(res.module) + ".json")
-    # write a temp file beside the entry and rename it over, so a reader never
-    # sees a half-written entry and a failed write keeps the old one
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump({"schema_version": "1", "steps": steps}, fh, sort_keys=True)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _disk_cache_load(module: Representation) -> MinimalResolution | None:
-    root = _cache_dir()
-    if root is None:
-        return None
-    path = os.path.join(root, _module_cache_key(module) + ".json")
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        alg = module.algebra
-        fld = alg.field
-        res = MinimalResolution(module)
-        for step in data["steps"]:
-            bundle = projective_bundle(alg, tuple(step["multiplicities"]))
-            cover = ModuleMap(bundle.rep, res.syzygies[len(res.covers)],
-                              tuple(_matrix_from_payload(fld, m) for m in step["cover"]))
-            syz = Representation(alg, tuple(step["syzygy_dims"]),
-                                 tuple(_matrix_from_payload(fld, m)
-                                       for m in step["syzygy_matrices"]))
-            incl = ModuleMap(syz, bundle.rep,
-                             tuple(_matrix_from_payload(fld, m) for m in step["inclusion"]))
-            res.covers.append(CoverResult(bundle.rep, cover, bundle))
-            res.syzygies.append(syz)
-            res.inclusions.append(incl)
-        return res
-    except (ValueError, KeyError, IndexError, TypeError, OSError):
-        return None  # stale, corrupt or malformed cache entries are simply recomputed
 
 
 # ----- Ext tables ------------------------------------------------------------
@@ -422,8 +330,8 @@ class PeriodicityCertificate:
         return out
 
 
-def periodicity_certificate(module: Representation, cutoff: int,
-                            *, seed: int = 0) -> PeriodicityCertificate | None:
+def periodicity_certificate(module: Representation,
+                            cutoff: int) -> PeriodicityCertificate | None:
     """First certified syzygy recurrence in lexicographic (preperiod, period)
     order, or None (terminated resolutions never count as periodic)."""
     if cutoff < 1:
@@ -442,7 +350,7 @@ def periodicity_certificate(module: Representation, cutoff: int,
             sa, sb = res.syzygy(a), res.syzygy(b)
             if sa.is_zero or sa.dims != sb.dims:
                 continue
-            iso = is_isomorphic(sa, sb, seed=seed)
+            iso = is_isomorphic(sa, sb)
             if iso.status == "iso":
                 cert = PeriodicityCertificate(a, b - a, iso.witness, tuple(skipped))
                 res._periodicity = cert

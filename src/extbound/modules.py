@@ -1,16 +1,25 @@
 """Morphisms and module-category operations for quiver representations.
 
 Covers hom-space bases, add-membership via the trace criterion, a certified
-isomorphism ladder, Fitting decomposition into indecomposables, radicals and
+isomorphism test, Fitting decomposition into indecomposables, radicals and
 tops, minimal projective covers, and syzygies/cosyzygies.  A true/false
 answer from the certified routines always carries a witness or a structural
 reason; "undetermined" is an explicit outcome, never a silent guess.
+
+Everything here is deterministic.  A module is certified indecomposable by
+an exact locality test of its endomorphism algebra E (Ronyai, Computing the
+structure of finite algebras, 1990): over GF(p) with E commutative, the
+Berlekamp subalgebra {b : b^p = b} is one-dimensional exactly when E is
+local, and a non-scalar element of it splits M when E is not local; over Q,
+or over GF(p) with p > dim M, the radical of E is the radical of the trace
+form tr_M(xy) (Dickson), and E is local when that radical has codimension
+one.  Only over GF(p), where neither test decides, a bounded exhaustive
+idempotent search is the last resort.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .exactla import (
@@ -309,51 +318,35 @@ def _try_invertible(candidates) -> ModuleMap | None:
     return None
 
 
-def is_isomorphic(m: Representation, n: Representation, *, seed: int = 0,
-                  trials: int = 16, budget: int = 1 << 20) -> IsoResult:
-    """Certified isomorphism test.
+def _with_pair_sums(basis: list[ModuleMap]):
+    """The basis maps, then the sums of each pair of them, in index order."""
+    yield from basis
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            yield basis[i] + basis[j]
 
-    Ladder: dimension vectors, basis homs and their pairwise sums, seeded
-    random combinations, and finally full decomposition with indecomposable
-    factor matching.  The random stage can only produce positives; when an
-    isomorphism exists over GF(p), one random combination is singular with
-    probability at most total_dim/p (Schwartz-Zippel on the determinant), so
-    all `trials` draws miss with probability at most (total_dim/p)**trials.
-    Between indecomposables an isomorphism exists exactly when some
-    canonical hom-basis element is invertible, because the non-isomorphisms
-    form a proper subspace.  Decompositions that cannot be certified make
-    the answer "undetermined", never a guess.
+
+def is_isomorphic(m: Representation, n: Representation) -> IsoResult:
+    """Certified, deterministic isomorphism test.
+
+    Ladder: dimension vectors, basis homs and their pairwise sums, and
+    finally certified decompositions of both sides with indecomposable
+    factor matching.  Between indecomposables an isomorphism exists exactly
+    when some canonical hom-basis element is invertible, because the
+    non-isomorphisms form a proper subspace.  A decomposition that cannot be
+    certified makes the answer "undetermined", never a guess.
     """
     _same_algebra(m, n)
     if m == n:
         return IsoResult("iso", ModuleMap.identity(m))
     if m.dims != n.dims:
         return IsoResult("not_iso", reason="dimension vectors differ")
-    basis = hom_basis(m, n)
-    found = _try_invertible(basis)
-    if found is None:
-        pair_sums = (basis[i] + basis[j] for i in range(len(basis))
-                     for j in range(i + 1, len(basis)))
-        found = _try_invertible(pair_sums)
-    if found is None and basis:
-        rng = random.Random(seed)
-        fld = m.algebra.field
-        def rand_scalar():
-            if fld.kind == "prime":
-                return rng.randrange(fld.p)
-            return fld.coerce(rng.randint(-9, 9))
-        for _ in range(trials):
-            f = basis[0].scale(rand_scalar())
-            for g in basis[1:]:
-                f = f + g.scale(rand_scalar())
-            if f.is_invertible:
-                found = f
-                break
+    found = _try_invertible(_with_pair_sums(hom_basis(m, n)))
     if found is not None:
         return IsoResult("iso", found)
 
-    dm = decompose(m, seed=seed, budget=budget)
-    dn = decompose(n, seed=seed, budget=budget)
+    dm = decompose(m)
+    dn = decompose(n)
     if not dm.determined or not dn.determined:
         return IsoResult("undetermined", reason="decomposition not certified")
     remaining = list(range(len(dn.copies)))
@@ -389,8 +382,9 @@ class Decomposition:
 
     copies holds (factor, inclusion, projection) for every indecomposable
     copy; factors groups them up to isomorphism.  determined is False when
-    some leaf could not be certified indecomposable (tiny search budget or
-    an infinite field); the partial split is still reported.
+    some leaf could not be certified indecomposable (no locality certificate
+    applies and the exhaustive search is out of reach); the partial split is
+    still reported.
     """
 
     determined: bool
@@ -399,13 +393,22 @@ class Decomposition:
     reason: str | None = None
 
 
+def _power(f: ModuleMap, k: int) -> ModuleMap:
+    """f^k for k >= 1, by repeated squaring."""
+    result, base = None, f
+    while True:
+        if k & 1:
+            result = base if result is None else result @ base
+        k >>= 1
+        if not k:
+            return result
+        base = base @ base
+
+
 def _fitting_power(f: ModuleMap, total_dim: int) -> ModuleMap:
-    power = f
-    steps = 1
-    while steps < total_dim:
-        power = power @ power
-        steps *= 2
-    return power
+    """f^d for the least power of two d >= total_dim, where the kernels and
+    images of the powers of f have become stable."""
+    return _power(f, 1 << (total_dim - 1).bit_length())
 
 
 def _split_along(rep, f_power):
@@ -440,25 +443,92 @@ def _split_along(rep, f_power):
     return (kpart, kincl, kproj), (ipart, iincl, iproj)
 
 
-def _idempotent_search(rep, ends, budget):
+# Largest End algebra, counted as p ** dim End, that the exhaustive idempotent
+# search may enumerate.
+_SEARCH_LIMIT = 1 << 20
+
+
+def _trace(f: ModuleMap):
+    fld = f.source.algebra.field
+    total = fld.zero
+    for m in f.vertex_maps:
+        for i in range(m.rows):
+            total = fld.add(total, m.entry(i, i))
+    return total
+
+
+def _combination(coeffs, maps: list[ModuleMap]) -> ModuleMap | None:
+    """sum c_i maps_i, or None when every coefficient is zero."""
+    total = None
+    for c, f in zip(coeffs, maps):
+        if c:
+            term = f.scale(c)
+            total = term if total is None else total + term
+    return total
+
+
+def _locality(rep: Representation,
+              ends: list[ModuleMap]) -> tuple[bool | None, ModuleMap | None]:
+    """Whether End(rep), with basis ends, is a local algebra (None when
+    neither exact certificate applies), and, when it is certified not local,
+    a non-scalar b with b^p = b to split along.
+
+    Over GF(p) with End commutative, b -> b^p - b is F_p-linear and its
+    kernel, the Berlekamp subalgebra, is a product of one copy of F_p per
+    local factor of End.  Over Q, or over GF(p) with p > dim rep, the radical
+    of End is the radical of the trace form tr(xy) (Dickson), so End is
+    local when that radical has codimension one; a larger quotient may still
+    be a division algebra, which this form cannot tell apart from a product.
+    """
+    fld = rep.algebra.field
+    if fld.kind == "prime" and all(
+            (a @ b).flatten() == (b @ a).flatten()
+            for i, a in enumerate(ends) for b in ends[i + 1:]):
+        frobenius = [(_power(e, fld.p) + e.scale(-1)).flatten() for e in ends]
+        fixed = kernel_basis(Matrix.from_columns(fld, frobenius))
+        if len(fixed) == 1:
+            return True, None
+        # two independent fixed elements are never both scalar
+        one = ModuleMap.identity(rep).flatten()
+        return False, next(b for b in (_combination(c, ends) for c in fixed)
+                           if rank(Matrix.from_rows(fld, [b.flatten(), one])) == 2)
+    if fld.kind != "prime" or fld.p > rep.total_dim:
+        gram = Matrix.from_rows(fld, [[_trace(a @ b) for b in ends] for a in ends])
+        if rank(gram) == 1:
+            return True, None
+    return None, None
+
+
+def _separating_candidates(b: ModuleMap):
+    """Fitting candidates from a non-scalar b with b^p = b, one of which is
+    singular but not nilpotent: b + s and (b + s)^((p-1)/2) - 1 for
+    s = 0, 1, ...  The eigenvalues of b lie in F_p and are not all equal, so
+    b + s splits by s = p - 1 at the latest; the power is the quadratic
+    character of b + s, which separates two eigenvalues for about half of
+    all s (Berlekamp's root-finding step), so the search ends early.
+    """
+    one = ModuleMap.identity(b.source)
+    p = b.source.algebra.field.p
+    for s in range(p):
+        shifted = b + one.scale(s)
+        yield shifted
+        if p > 2:
+            yield _power(shifted, (p - 1) // 2) + one.scale(-1)
+
+
+def _idempotent_search(rep, ends):
     """Exhaustively look for a nontrivial idempotent endomorphism.
 
     Returns ("indecomposable", None) when the whole space holds none,
     ("split", g) when one is found, ("undetermined", None) when the field is
-    infinite or the budget is exceeded.
+    infinite or p ** dim End exceeds _SEARCH_LIMIT.
     """
     fld = rep.algebra.field
-    if fld.kind != "prime":
-        return ("undetermined", None)
-    if fld.p ** len(ends) > budget:
+    if fld.kind != "prime" or fld.p ** len(ends) > _SEARCH_LIMIT:
         return ("undetermined", None)
     ident = ModuleMap.identity(rep).flatten()
     for coeffs in itertools.product(range(fld.p), repeat=len(ends)):
-        g = None
-        for c, e in zip(coeffs, ends):
-            if c:
-                term = e.scale(c)
-                g = term if g is None else g + term
+        g = _combination(coeffs, ends)
         if g is None:
             continue
         flat = g.flatten()
@@ -469,19 +539,29 @@ def _idempotent_search(rep, ends, budget):
     return ("indecomposable", None)
 
 
-def decompose(rep: Representation, *, seed: int = 0, budget: int = 1 << 20,
-              trials: int = 16) -> Decomposition:
-    """Fitting decomposition into indecomposables.
+def decompose(rep: Representation) -> Decomposition:
+    """Fitting decomposition into indecomposables, deterministic.
 
-    Candidate endomorphisms are the canonical End basis, then pairwise sums,
-    then seeded random combinations; each candidate f splits the module as
-    ker f^d + im f^d.  A leaf is certified indecomposable when End is
-    one-dimensional or an exhaustive idempotent search (possible only over a
-    prime field within the budget) finds nothing; otherwise the result is
+    Candidate endomorphisms are the canonical End basis, then its pairwise
+    sums; the first candidate f that splits the module as ker f^d + im f^d
+    is used, and the parts are decomposed in turn.  A part that no candidate
+    splits goes to the locality test of its End (_locality): local parts are
+    certified indecomposable, and a part certified not local is split along
+    an element of its Berlekamp subalgebra.  Only where neither certificate
+    applies does an exhaustive idempotent search over a prime field, within
+    _SEARCH_LIMIT, split or certify the part; otherwise the result is
     flagged undetermined and carries the partial split.
     """
     leaves: list[tuple[Representation, ModuleMap, ModuleMap, bool]] = []
-    rng = random.Random(seed)
+
+    def split_along(part: Representation, incl: ModuleMap, proj: ModuleMap,
+                    f: ModuleMap) -> bool:
+        split = _split_along(part, _fitting_power(f, part.total_dim))
+        if split is None:
+            return False
+        for sub, sincl, sproj in split:
+            recurse(sub, incl @ sincl, sproj @ proj)
+        return True
 
     def recurse(part: Representation, incl: ModuleMap, proj: ModuleMap) -> None:
         if part.is_zero:
@@ -490,32 +570,21 @@ def decompose(rep: Representation, *, seed: int = 0, budget: int = 1 << 20,
         if len(ends) == 1:
             leaves.append((part, incl, proj, True))
             return
-        candidates = list(ends)
-        candidates.extend(ends[i] + ends[j] for i in range(len(ends))
-                          for j in range(i + 1, len(ends)))
-        fld = part.algebra.field
-        for _ in range(trials):
-            f = None
-            for e in ends:
-                c = rng.randrange(fld.p) if fld.kind == "prime" else fld.coerce(rng.randint(-9, 9))
-                if c != 0:
-                    term = e.scale(c)
-                    f = term if f is None else f + term
-            if f is not None:
-                candidates.append(f)
-        for f in candidates:
-            split = _split_along(part, _fitting_power(f, part.total_dim))
-            if split is not None:
-                for sub, sincl, sproj in split:
-                    recurse(sub, incl @ sincl, sproj @ proj)
-                return
-        verdict, idem = _idempotent_search(part, ends, budget)
+        if any(split_along(part, incl, proj, f) for f in _with_pair_sums(ends)):
+            return
+        local, separable = _locality(part, ends)
+        if local:
+            leaves.append((part, incl, proj, True))
+            return
+        if separable is not None:
+            if not any(split_along(part, incl, proj, f)
+                       for f in _separating_candidates(separable)):
+                raise InternalCheckError("separable endomorphism failed to split")
+            return
+        verdict, idem = _idempotent_search(part, ends)
         if verdict == "split":
-            split = _split_along(part, _fitting_power(idem, part.total_dim))
-            if split is None:
+            if not split_along(part, incl, proj, idem):
                 raise InternalCheckError("nontrivial idempotent failed to split")
-            for sub, sincl, sproj in split:
-                recurse(sub, incl @ sincl, sproj @ proj)
             return
         leaves.append((part, incl, proj, verdict == "indecomposable"))
 

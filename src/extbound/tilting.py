@@ -30,8 +30,7 @@ from .bounds import (
 )
 
 
-def left_add_approximation(x_mod: Representation, t_mod: Representation,
-                           *, seed: int = 0) -> ModuleMap:
+def left_add_approximation(x_mod: Representation, t_mod: Representation) -> ModuleMap:
     """A left add(T)-approximation of X: a map X -> T_0 with T_0 in add T
     through which every map X -> T factors.
 
@@ -43,7 +42,7 @@ def left_add_approximation(x_mod: Representation, t_mod: Representation,
     if x_mod.algebra is not t_mod.algebra:
         from .modules import AlgebraMismatchError
         raise AlgebraMismatchError("approximation arguments over different algebras")
-    dec = decompose(t_mod, seed=seed)
+    dec = decompose(t_mod)
     pieces = [fac for fac, _ in dec.factors] if dec.determined else [t_mod]
     target_homs = hom_basis(x_mod, t_mod)
     blocks: list[tuple[Representation, ModuleMap]] = []
@@ -145,8 +144,7 @@ def coresolution_corpus(x_mod: Representation, result: CoresolutionResult) -> Co
 
 
 def coresolution_in_add(x_mod: Representation, t_mod: Representation,
-                        maxlen: int, cutoff: int | None = None, *,
-                        seed: int = 0) -> CoresolutionResult:
+                        maxlen: int, cutoff: int | None = None) -> CoresolutionResult:
     """Iterated left approximations from X until a cokernel certifies inside
     add T (that cokernel becomes the last term).
 
@@ -166,7 +164,7 @@ def coresolution_in_add(x_mod: Representation, t_mod: Representation,
     projections: list[ModuleMap] = []
     current = x_mod
     for stage in range(maxlen):
-        phi = left_add_approximation(current, t_mod, seed=seed)
+        phi = left_add_approximation(current, t_mod)
         if not phi.is_injective:
             return CoresolutionResult(False, (), None, (), failure_stage=stage,
                                       reason="approximation not injective")
@@ -234,13 +232,12 @@ class TiltingReport:
                 "coresolution": self.coresolution.to_json()}
 
 
-def is_tilting(t_mod: Representation, cutoff: int, maxlen: int,
-               *, seed: int = 0) -> TiltingReport:
+def is_tilting(t_mod: Representation, cutoff: int, maxlen: int) -> TiltingReport:
     """Certified tilting test: finite projective dimension, certified
     self-orthogonality, and a finite coresolution of the regular module."""
     pd_res = projective_dimension(t_mod, cutoff)
     selforth = is_selforthogonal(t_mod, cutoff)
-    cores = coresolution_in_add(regular_module(t_mod.algebra), t_mod, maxlen, seed=seed)
+    cores = coresolution_in_add(regular_module(t_mod.algebra), t_mod, maxlen)
     if isinstance(pd_res, PdPeriodic):
         return TiltingReport(pd_res, selforth, cores, "not_tilting",
                              "projective dimension certified infinite")
@@ -285,8 +282,7 @@ class WakamatsuReport:
                 "stages": [s.to_json() for s in self.stages]}
 
 
-def is_wakamatsu(t_mod: Representation, cutoff: int, maxlen: int,
-                 *, seed: int = 0) -> WakamatsuReport:
+def is_wakamatsu(t_mod: Representation, cutoff: int, maxlen: int) -> WakamatsuReport:
     """Wakamatsu-tilting test: certified self-orthogonality plus a chain of
     left approximations of the regular module whose images stay orthogonal
     to T.
@@ -315,7 +311,7 @@ def is_wakamatsu(t_mod: Representation, cutoff: int, maxlen: int,
         stages.append(WakamatsuStage(index, current.dims, onset, status))
         if index == maxlen:
             break
-        phi = left_add_approximation(current, t_mod, seed=seed)
+        phi = left_add_approximation(current, t_mod)
         if not phi.is_injective:
             return WakamatsuReport(selforth, tuple(stages), False, "not_wakamatsu",
                                    f"stage {index} approximation not injective")
@@ -344,8 +340,7 @@ class EwtcReport:
                 "certificate": self.certificate.to_json() if self.certificate else None}
 
 
-def ewtc_check(t_mod: Representation, cutoff: int, maxlen: int,
-               *, seed: int = 0) -> EwtcReport:
+def ewtc_check(t_mod: Representation, cutoff: int, maxlen: int) -> EwtcReport:
     """Check one instance of the conjecture that self-orthogonality plus a
     finite coresolution of the regular module already force tilting.
 
@@ -354,7 +349,7 @@ def ewtc_check(t_mod: Representation, cutoff: int, maxlen: int,
     confirms the instance, corroborated by the finite-pd certificate.
     """
     selforth = is_selforthogonal(t_mod, cutoff)
-    cores = coresolution_in_add(regular_module(t_mod.algebra), t_mod, maxlen, seed=seed)
+    cores = coresolution_in_add(regular_module(t_mod.algebra), t_mod, maxlen)
     if selforth.status == "certified_false":
         return EwtcReport(selforth, cores, None, None, "not_applicable",
                           f"Ext^{selforth.degree}(T,T) != 0")

@@ -223,6 +223,11 @@ def test_verify_all_matches_golden_bytes(capsys):
                        "--format", "json")
     assert code == 0
     assert out == golden
+    # every computation is deterministic: --seed is only echoed
+    code, out, _ = run(capsys, "verify", "--fixtures", "all", "--cutoff", "12",
+                       "--format", "json", "--seed", "4242")
+    assert code == 0
+    assert out.replace('"seed": 4242', '"seed": 0') == golden
 
 
 def test_malformed_file_exit_3(capsys, tmp_path):

@@ -27,6 +27,13 @@ def loop_q():
     return eb.build_algebra(eb.AlgebraPresentation(field, q, (rel,), 2))
 
 
+@pytest.fixture(scope="module")
+def kronecker_q():
+    field = eb.FieldSpec.rationals()
+    q = eb.Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    return eb.build_algebra(eb.AlgebraPresentation(field, q, (), 2))
+
+
 def test_square_dimension_and_structure(square):
     assert square.dim == 9  # 4 trivial + 4 arrows + one identified diagonal
     assert square.check_associativity()
@@ -58,10 +65,21 @@ def test_rational_loop_homology(loop_q):
     assert onset.status == "vanishes" and onset.onset == 0
 
 
-def test_rational_decompose_is_honestly_undetermined(loop_q):
-    # End of the regular module is 2-dimensional over an infinite field:
-    # no exhaustive idempotent search is possible, so no certificate
+def _kronecker_band(algebra, second):
+    # Kronecker representation Q^2 => Q^2 with arrows (I, second)
+    fld = algebra.field
+    return eb.Representation(algebra, (2, 2), (eb.Matrix.identity(fld, 2),
+                                               eb.Matrix.from_rows(fld, second)))
+
+
+def test_rational_decompose_is_honestly_undetermined(loop_q, kronecker_q):
+    # End of the regular module is Q[x]/(x^2); the trace form has a
+    # one-dimensional radical (x), so End is local and the module certified
     dec = eb.decompose(eb.regular_module(loop_q))
+    assert dec.determined and len(dec.copies) == 1
+    # End of (I, rotation) is Q(i), a field bigger than Q: no certificate
+    # tells it from a product of fields, so the answer stays undetermined
+    dec = eb.decompose(_kronecker_band(kronecker_q, [[0, -1], [1, 0]]))
     assert not dec.determined
     assert dec.reason is not None
 
@@ -71,11 +89,15 @@ def test_rational_tilting_regular(loop_q):
     assert report.verdict == "tilting"
 
 
-def test_rational_iso_undetermined_is_explicit(loop_q):
-    # the regular module cannot be certified indecomposable over an infinite
-    # field, so a failed iso search must end in an explicit undetermined
+def test_rational_iso_undetermined_is_explicit(loop_q, kronecker_q):
+    # both sides decompose with certificates, and their factors differ
     reg = eb.regular_module(loop_q)
     semis = eb.direct_sum([eb.simple_module(loop_q, 0),
                            eb.simple_module(loop_q, 0)])
     res = eb.is_isomorphic(reg, semis)
-    assert res.status == "undetermined"
+    assert res.status == "not_iso"
+    # Ends Q(i) and Q(sqrt -2) are fields bigger than Q, so neither side is
+    # certified indecomposable and the answer is an explicit undetermined
+    res = eb.is_isomorphic(_kronecker_band(kronecker_q, [[0, -1], [1, 0]]),
+                           _kronecker_band(kronecker_q, [[0, -2], [1, 0]]))
+    assert res.status == "undetermined" and res.reason is not None

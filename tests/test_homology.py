@@ -1,10 +1,7 @@
-import json
-
 import pytest
 
 import extbound as eb
 from extbound import PdAtLeast, PdFinite, PdPeriodic
-from extbound import homology
 
 
 def test_resolution_nak3_simple(nak3):
@@ -60,6 +57,15 @@ def test_unterminated_resolution_past_end_raises(loop2):
     with pytest.raises(ValueError, match=end):
         res.bundle(len(res.covers))
     assert res.syzygy(len(res.syzygies) - 1).dims == (2,)
+
+
+def test_resolution_rejects_negative_degrees(nak3):
+    # a negative degree must not index the stored lists from their end
+    res = eb.minimal_resolution(eb.simple_module(nak3, 0), 3)
+    assert res.terminated
+    for accessor in (res.syzygy, res.multiplicities, res.bundle):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            accessor(-1)
 
 
 def test_resolution_exactness(nak3):
@@ -222,59 +228,3 @@ def test_ext_memo_consistency(nak3):
     first = eb.ext_table(s1, s2, 8).dims
     again = eb.ext_table(s1, s2, 4).dims
     assert again == first[:5]
-
-
-def test_disk_cache_roundtrip(tmp_path, monkeypatch, nak3):
-    monkeypatch.setenv("EXTBOUND_CACHE_DIR", str(tmp_path))
-    s1 = eb.simple_module(nak3, 0)
-    nak3._resolution_memo.clear()
-    res = eb.minimal_resolution(s1, 3)
-    files = list(tmp_path.iterdir())
-    assert files, "resolution was not persisted"
-    nak3._resolution_memo.clear()
-    reloaded = eb.minimal_resolution(s1, 3)
-    assert reloaded is not res
-    assert [reloaded.multiplicities(k) for k in range(4)] == \
-        [res.multiplicities(k) for k in range(4)]
-    nak3._resolution_memo.clear()
-
-
-@pytest.mark.parametrize("entry", [
-    {"steps": 5}, [1, 2], {"steps": [{"multiplicities": 3}]},
-    {"steps": [{"multiplicities": []}]},
-])
-def test_disk_cache_malformed_entry_is_a_miss(tmp_path, monkeypatch, nak3, entry):
-    monkeypatch.setenv("EXTBOUND_CACHE_DIR", str(tmp_path))
-    s1 = eb.simple_module(nak3, 0)
-    path = tmp_path / (homology._module_cache_key(s1) + ".json")
-    path.write_text(json.dumps(entry))
-    nak3._resolution_memo.clear()
-    try:
-        res = eb.minimal_resolution(s1, 3)
-        assert [res.multiplicities(k) for k in range(4)] == \
-            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
-        assert len(json.loads(path.read_text())["steps"]) == 3  # rewritten
-    finally:
-        nak3._resolution_memo.clear()
-
-
-def test_disk_cache_write_is_atomic(tmp_path, monkeypatch, nak3):
-    monkeypatch.setenv("EXTBOUND_CACHE_DIR", str(tmp_path))
-    s1 = eb.simple_module(nak3, 0)
-    nak3._resolution_memo.clear()
-    try:
-        eb.minimal_resolution(s1, 0)
-        [entry] = tmp_path.iterdir()
-        before = entry.read_text()
-
-        def dump_then_fail(obj, fh, **kwargs):
-            fh.write('{"steps": [')
-            raise OSError("disk full")
-
-        monkeypatch.setattr(homology.json, "dump", dump_then_fail)
-        with pytest.raises(OSError, match="disk full"):
-            eb.minimal_resolution(s1, 3)
-        assert list(tmp_path.iterdir()) == [entry]  # no temp file left behind
-        assert entry.read_text() == before
-    finally:
-        nak3._resolution_memo.clear()

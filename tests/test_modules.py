@@ -1,7 +1,12 @@
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import extbound as eb
 from extbound import ModuleMap
+from extbound import modules
+from extbound.modules import _locality
 
 
 def test_hom_dimensions_a2(a2):
@@ -228,3 +233,121 @@ def test_module_map_rejects_non_intertwiner(a2):
     bad = (Matrix.from_rows(a2.field, [[1]]), Matrix.from_rows(a2.field, [[0]]))
     with pytest.raises(ValueError):
         ModuleMap(p1, p1, bad)
+
+
+# ----- locality certificate ---------------------------------------------------
+
+
+def _free_algebra(p: int, arrows) -> eb.Algebra:
+    vertices = sorted({v for _, s, t in arrows for v in (s, t)})
+    quiver = eb.Quiver.build(vertices, arrows)
+    return eb.build_algebra(eb.AlgebraPresentation(eb.FieldSpec.prime(p), quiver, (), 3))
+
+
+def _kronecker(algebra, rows) -> eb.Representation:
+    """The Kronecker module (I, X), X given by its rows."""
+    fld = algebra.field
+    n = len(rows)
+    return eb.Representation(algebra, (n, n), (eb.Matrix.identity(fld, n),
+                                               eb.Matrix.from_rows(fld, rows)))
+
+
+def _kronecker_band(algebra, n: int) -> eb.Representation:
+    # (I, J_n(0)): End is k[x]/(x^n), local but n-dimensional
+    return _kronecker(algebra, [[1 if c == r + 1 else 0 for c in range(n)]
+                                for r in range(n)])
+
+
+@pytest.fixture
+def no_exhaustive_search(monkeypatch):
+    # every input below is decided by a certificate over GF(101)
+    def fail(rep, ends):
+        raise AssertionError(f"exhaustive search reached, dim End = {len(ends)}")
+    monkeypatch.setattr(modules, "_idempotent_search", fail)
+
+
+def test_kronecker_bands_are_certified_indecomposable(no_exhaustive_search):
+    alg = _free_algebra(101, [("a", "1", "2"), ("b", "1", "2")])
+    for n in range(2, 9):
+        dec = eb.decompose(_kronecker_band(alg, n))
+        assert dec.determined and len(dec.copies) == 1, n
+    dec = eb.decompose(eb.direct_sum([_kronecker_band(alg, 2), _kronecker_band(alg, 3)]))
+    assert dec.determined and len(dec.copies) == 2
+    assert sorted(fac.dims for fac, _ in dec.factors) == [(2, 2), (3, 3)]
+
+
+def test_kronecker_split_along_berlekamp_element(no_exhaustive_search):
+    # (I, C) for a companion matrix C has End = F_p[x]/(char C), which no End
+    # basis element or pairwise sum splits here; the split comes from a
+    # non-scalar b with b^p = b
+    alg = _free_algebra(101, [("a", "1", "2"), ("b", "1", "2")])
+    # (x - 1)(x - 2)(x - 3): three one-dimensional factors
+    dec = eb.decompose(_kronecker(alg, [[0, 0, 6], [1, 0, -11], [0, 1, 6]]))
+    assert dec.determined and len(dec.copies) == 3
+    assert all(fac.dims == (1, 1) and mult == 1 for fac, mult in dec.factors)
+    # x^3 - 1 = (x - 1)(x^2 + x + 1), the quadratic irreducible mod 101
+    dec = eb.decompose(_kronecker(alg, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+    assert dec.determined
+    assert sorted(fac.dims for fac, _ in dec.factors) == [(1, 1), (2, 2)]
+    # x^2 - 2 is irreducible mod 101: End is the field of 101^2 elements
+    dec = eb.decompose(_kronecker(alg, [[0, 2], [1, 0]]))
+    assert dec.determined and len(dec.copies) == 1
+
+
+def _reference_copies(rep: eb.Representation) -> int:
+    """Indecomposable summands counted by brute force: enumerate all of End
+    for a nontrivial idempotent e, split as ker e + ker(1 - e), recurse."""
+    if rep.is_zero:
+        return 0
+    fld = rep.algebra.field
+    ends = eb.end_basis(rep)
+    one = ModuleMap.identity(rep)
+    for coeffs in itertools.product(range(fld.p), repeat=len(ends)):
+        e = ModuleMap.zero(rep, rep)
+        for c, b in zip(coeffs, ends):
+            e = e + b.scale(c)
+        flat = e.flatten()
+        if (e @ e).flatten() == flat and not e.is_zero and flat != one.flatten():
+            return (_reference_copies(eb.kernel(e)[0])
+                    + _reference_copies(eb.kernel(one + e.scale(-1))[0]))
+    return 1
+
+
+_SMALL_QUIVERS = {
+    "kronecker": [("a", "1", "2"), ("b", "1", "2")],
+    "A3": [("a", "1", "2"), ("b", "2", "3")],
+    "two-to-one": [("a", "1", "3"), ("b", "2", "3"), ("c", "1", "2")],
+}
+
+
+@st.composite
+def small_modules(draw):
+    """Modules of total dimension <= 4 over GF(2), GF(3) and GF(5): random
+    ones over small free quivers, and Kronecker modules (I, X) with X random
+    2x2, whose End is a field, a local ring or a product."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    entry = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2))
+        return _kronecker(_free_algebra(p, _SMALL_QUIVERS["kronecker"]), rows)
+    alg = _free_algebra(p, _SMALL_QUIVERS[draw(st.sampled_from(sorted(_SMALL_QUIVERS)))])
+    dims = draw(st.tuples(*[st.integers(0, 4)] * alg.vertex_count)
+                .filter(lambda d: 1 <= sum(d) <= 4))
+    mats = []
+    for a in alg.quiver.arrows:
+        rows, cols = dims[a.target], dims[a.source]
+        entries = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        mats.append(eb.Matrix(alg.field, rows, cols, tuple(entries)))
+    return eb.Representation(alg, dims, tuple(mats))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(small_modules())
+def test_decompose_matches_exhaustive_search_for_small_p(rep):
+    assume(rep.algebra.field.p ** len(eb.end_basis(rep)) <= 3 ** 8)
+    copies = _reference_copies(rep)
+    dec = eb.decompose(rep)
+    assert dec.determined
+    assert len(dec.copies) == copies
+    # the certificate on its own, also where a Fitting candidate splits first
+    assert _locality(rep, eb.end_basis(rep))[0] in (None, copies == 1)

@@ -1,4 +1,5 @@
-"""The package runtime imports only the standard library and itself."""
+"""The package runtime imports only the standard library and itself, and
+never the random module: every computation is deterministic."""
 
 import ast
 import sys
@@ -7,8 +8,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "extbound"
 
 
-def test_runtime_imports_are_stdlib_or_relative():
-    outside = []
+def _absolute_imports():
+    """(location, top-level module name) for every absolute import."""
     files = sorted(SRC.glob("*.py"))
     assert files
     for path in files:
@@ -19,6 +20,16 @@ def test_runtime_imports_are_stdlib_or_relative():
                 names = [node.module]
             else:
                 continue
-            outside += [f"{path.name}:{node.lineno} {name}" for name in names
-                        if name.split(".")[0] not in sys.stdlib_module_names]
+            for name in names:
+                yield f"{path.name}:{node.lineno} {name}", name.split(".")[0]
+
+
+def test_runtime_imports_are_stdlib_or_relative():
+    outside = [where for where, top in _absolute_imports()
+               if top not in sys.stdlib_module_names]
     assert not outside, f"non-stdlib imports: {outside}"
+
+
+def test_runtime_never_imports_random():
+    found = [where for where, top in _absolute_imports() if top == "random"]
+    assert not found, f"random imported: {found}"
