@@ -19,16 +19,16 @@ from .algebra import (
 )
 from .modules import (
     AddMembership, AlgebraMismatchError, Decomposition, InternalCheckError,
-    IsoResult, ModuleMap, cokernel, cosyzygy, decompose, end_basis,
-    hom_basis, image, in_add, in_add_family, is_isomorphic, kernel,
-    projective_cover, radical, syzygy, top_multiplicities,
+    IsoResult, ModuleMap, cokernel, decompose, end_basis, hom_basis, image,
+    in_add, in_add_family, is_isomorphic, kernel, projective_cover, radical,
+    top_multiplicities,
 )
 from .homology import (
     ExtTable, MinimalResolution, OnsetResult, PdAtLeast, PdFinite,
-    PdPeriodic, PdResult, PeriodicityCertificate, ext_dims_via_complex,
-    ext_dims_via_stable, ext_table, injective_dimension, minimal_resolution,
-    onset_against_regular, periodicity_certificate, projective_dimension,
-    vanishing_onset,
+    PdPeriodic, PdResult, PeriodicityCertificate, cosyzygy,
+    ext_dims_via_complex, ext_dims_via_stable, ext_table,
+    injective_dimension, minimal_resolution, onset_against_regular,
+    periodicity_certificate, projective_dimension, syzygy, vanishing_onset,
 )
 from .bounds import (
     AbResult, BoundValue, CertNotApplicable, CertUndetermined, CheckOutcome,

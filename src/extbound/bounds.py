@@ -19,7 +19,7 @@ from .algebra import (
 )
 from .modules import AlgebraMismatchError, InternalCheckError, in_add_family
 from .homology import (
-    OnsetResult, PdAtLeast, PdFinite, PdResult, ext_table,
+    OnsetResult, PdAtLeast, PdFinite, PdResult, cosyzygy, ext_table,
     injective_dimension, minimal_resolution, onset_against_regular,
     projective_dimension, vanishing_onset,
 )
@@ -169,12 +169,6 @@ class CorpusBoundReport:
                 for name, lab, rab, pd, idim in self.member_stats},
         }
 
-    def member_row(self, name: str):
-        for row in self.member_stats:
-            if row[0] == name:
-                return row
-        raise UnknownNameError(f"no report row for corpus member {name!r}")
-
 
 def _finitistic(values: list[PdResult]) -> BoundValue:
     best, exact = 0, True
@@ -195,17 +189,22 @@ def _bound_max(results: list[AbResult]) -> BoundValue:
 def corpus_bounds(corpus: Corpus, cutoff: int) -> CorpusBoundReport:
     """Left/right bounds, the global corpus bound, and finitistic statistics.
 
+    The right bound and the injective dimension of each member come through
+    the duality, as the left bound and the projective dimension of its dual
+    over the dual corpus, which is built once per call.
+
     Restricted to a finite corpus every computed left bound is a finite
     number, so the finitistic left statistic coincides with the global left
     bound; both are still reported.
     """
+    dcorp = dual_corpus(corpus)
     stats = []
-    for name, rep in corpus:
+    for (name, rep), (_, drep) in zip(corpus, dcorp):
         stats.append((name,
                       left_bound(rep, corpus, cutoff),
-                      right_bound(rep, corpus, cutoff),
+                      left_bound(drep, dcorp, cutoff),
                       projective_dimension(rep, cutoff),
-                      injective_dimension(rep, cutoff)))
+                      projective_dimension(drep, cutoff)))
     glab = _bound_max([s[1] for s in stats])
     grab = _bound_max([s[2] for s in stats])
     gab = BoundValue(glab.exact and grab.exact, glab.value)
@@ -392,14 +391,6 @@ class PropertyReport:
                 "statements": [s.to_json() for s in self.statements]}
 
 
-def _onset_grid(corpus: Corpus, cutoff: int) -> dict[tuple[str, str], OnsetResult]:
-    grid = {}
-    for mn, m_mod in corpus:
-        for nn, n_mod in corpus:
-            grid[(mn, nn)] = vanishing_onset(m_mod, n_mod, cutoff)
-    return grid
-
-
 def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     """Check the bound identities and inequalities over the corpus.
 
@@ -410,7 +401,9 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     out: list[StatementResult] = []
     alg = corpus.algebra
     report = corpus_bounds(corpus, cutoff)
-    grid = _onset_grid(corpus, cutoff)
+    labs = {name: lab for name, lab, *_ in report.member_stats}
+    rabs = {name: rab for name, _, rab, *_ in report.member_stats}
+    grid = {(mn, nn): onset for mn, lab in labs.items() for nn, onset in lab.pairs}
 
     def emit(name, ok, detail="", skipped=False):
         out.append(StatementResult(name, "skipped" if skipped else
@@ -427,14 +420,13 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     if len(corpus) >= 2:
         half = Corpus(alg, corpus.members[:max(1, len(corpus) // 2)],
                       dict(corpus.provenance, complete=False))
+        sub_report = corpus_bounds(half, cutoff)
         mono_ok, mono_checked = True, 0
-        for name, rep in half:
-            small = left_bound(rep, half, cutoff)
-            big = left_bound(rep, corpus, cutoff)
+        for name, small, *_ in sub_report.member_stats:
+            big = labs[name]
             if small.exact and big.exact:
                 mono_checked += 1
                 mono_ok = mono_ok and small.value <= big.value
-        sub_report = corpus_bounds(half, cutoff)
         if sub_report.gab.exact and report.gab.exact:
             mono_ok = mono_ok and sub_report.gab.value <= report.gab.value
         emit("bound-monotonicity-under-inclusion", mono_ok,
@@ -479,14 +471,13 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     emit("syzygy-shifts-onset", ok, f"{checked} certified pairs")
 
     # cosyzygy shift on the contravariant side
-    from .modules import cosyzygy
     ok, checked = True, 0
     for mn, m_mod in corpus:
         if m_mod.is_zero:
             continue
         cos = cosyzygy(m_mod, 1)
         for nn, n_mod in corpus:
-            base = vanishing_onset(n_mod, m_mod, cutoff)
+            base = grid[(nn, mn)]
             shifted = vanishing_onset(n_mod, cos, cutoff)
             if not (base.certified and shifted.certified):
                 continue
@@ -515,8 +506,7 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
         for bn, b_mod in corpus.members[i:2]:
             summed = direct_sum([a_mod, b_mod])
             lab_sum = left_bound(summed, corpus, cutoff)
-            la = left_bound(a_mod, corpus, cutoff)
-            lb = left_bound(b_mod, corpus, cutoff)
+            la, lb = labs[an], labs[bn]
             if lab_sum.exact and la.exact and lb.exact:
                 checked += 1
                 ok = ok and lab_sum.value <= max(la.value, lb.value)
@@ -525,7 +515,7 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     # the duality route for right bounds agrees with direct computation
     ok, checked = True, 0
     for name, rep in corpus:
-        via_dual = right_bound(rep, corpus, cutoff)
+        via_dual = rabs[name]
         direct = right_bound_direct(rep, corpus, cutoff)
         if via_dual.exact and direct.exact:
             checked += 1
@@ -537,7 +527,7 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     for name, rep in corpus:
         if rep.is_zero:
             continue
-        lab = left_bound(rep, corpus, cutoff)
+        lab = labs[name]
         if not lab.exact:
             continue
         res = minimal_resolution(rep, 3)
@@ -641,7 +631,7 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
         m = strongly_redundant_from(rep, probe)
         if m is None:
             continue
-        lab = left_bound(rep, corpus, cutoff)
+        lab = labs[name]
         if not lab.exact:
             continue
         checked += 1

@@ -26,7 +26,9 @@ from .bounds import (
     UnknownNameError, corpus_bounds, left_bound, right_bound,
     strongly_redundant_from, ultimately_closed_at, verify_bound_properties,
 )
-from .tilting import arc_scan, ewtc_check, gsc_report, is_tilting, is_wakamatsu
+from .tilting import (
+    arc_scan, coresolution_corpus, ewtc_check, gsc_report, is_tilting, is_wakamatsu,
+)
 from .fileio import (
     FileFormatError, dumps_canonical, load_algebra, load_corpus, load_module,
     save_corpus,
@@ -241,7 +243,6 @@ def cmd_tilting(args):
     report = is_tilting(rep, args.cutoff, args.maxlen)
     payload = dict(_meta(args, "tilting"), module=name, report=report.to_json())
     if args.export_chain and report.coresolution.success:
-        from .tilting import coresolution_corpus
         save_corpus(coresolution_corpus(regular_module(rep.algebra),
                                         report.coresolution), args.export_chain)
         payload["exported_chain"] = args.export_chain

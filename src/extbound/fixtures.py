@@ -10,6 +10,7 @@ indecomposable via the Fitting decomposition.
 
 from __future__ import annotations
 
+import json
 from importlib import resources
 
 from .exactla import FieldSpec
@@ -86,7 +87,6 @@ def fixture_corpus(name: str) -> Corpus:
         raise UnknownNameError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
     text = resources.files("extbound").joinpath(
         f"fixtures/{name.lower()}_indecomposables.json").read_text()
-    import json
     corpus = corpus_from_json(json.loads(text), where=f"fixture {name}")
     for member_name, rep in corpus:
         dec = decompose(rep)

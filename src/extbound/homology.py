@@ -4,8 +4,9 @@ Every Ext dimension is computed twice, by two independent routes:
 
 * cohomology of the complex Hom(P_*, N), using the vertexwise identification
   Hom(P(i), N) = N_i through the resolution's generator bookkeeping;
-* the stable-hom formula dim Hom(syzygy, N) minus the rank of restriction
-  from Hom(P_{k-1}, N).
+* dimension shifting along the short exact sequences of the resolution,
+  which needs only the dimensions of Hom(syzygy, N) and of Hom(P_k, N), and
+  no map at all.
 
 A disagreement raises InternalCheckError, it is never suppressed.  Claims
 about all sufficiently large degrees are made only under a certificate: a
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from .exactla import Matrix, rank
 from .algebra import Representation, dual_module, regular_module
 from .modules import (
-    CoverResult, InternalCheckError, ModuleMap, ProjectiveBundle, _hom_from_generators,
+    AlgebraMismatchError, CoverResult, InternalCheckError, ModuleMap, ProjectiveBundle,
     _path_actions, hom_basis, is_isomorphic, kernel, projective_cover,
 )
 
@@ -132,6 +133,19 @@ def minimal_resolution(module: Representation, cutoff: int) -> MinimalResolution
     return res
 
 
+def syzygy(rep: Representation, m: int) -> Representation:
+    """The m-th syzygy along minimal projective covers (m = 0 gives M back),
+    read from the memoized minimal resolution."""
+    if m < 0:
+        raise ValueError("syzygy exponent must be >= 0")
+    return minimal_resolution(rep, m - 1).syzygy(m)  # stored once P_{m-1} is
+
+
+def cosyzygy(rep: Representation, m: int) -> Representation:
+    """The m-th cosyzygy, computed by duality through the opposite algebra."""
+    return dual_module(syzygy(dual_module(rep), m))
+
+
 # ----- Ext tables ------------------------------------------------------------
 
 
@@ -149,21 +163,6 @@ class ExtTable:
         lines = ["degree,dim"]
         lines.extend(f"{i},{d}" for i, d in enumerate(self.dims))
         return "\n".join(lines) + "\n"
-
-
-def _hom_space_basis(bundle: ProjectiveBundle, n_mod: Representation, op) -> list[ModuleMap]:
-    fld = n_mod.algebra.field
-    out = []
-    for s, (v, _) in enumerate(bundle.summands):
-        for e in range(n_mod.dims[v]):
-            values = []
-            for t, (w, _) in enumerate(bundle.summands):
-                vec = [fld.zero] * n_mod.dims[w]
-                if t == s:
-                    vec[e] = fld.one
-                values.append(tuple(vec))
-            out.append(_hom_from_generators(bundle, n_mod, values, op))
-    return out
 
 
 def _induced_matrix(res: MinimalResolution, n_mod: Representation, k: int, op) -> Matrix:
@@ -225,26 +224,28 @@ def ext_dims_via_complex(m_mod: Representation, n_mod: Representation,
 
 def ext_dims_via_stable(m_mod: Representation, n_mod: Representation,
                         cutoff: int) -> list[int]:
-    """Ext dimensions from hom spaces of syzygies modulo maps factoring
-    through the covering projective."""
+    """Ext dimensions by dimension shifting, from hom-space dimensions alone.
+
+    Hom(-, N) turns 0 -> syzygy i -> P_{i-1} -> syzygy i-1 -> 0 into the exact
+    sequence 0 -> Hom(syzygy i-1, N) -> Hom(P_{i-1}, N) -> Hom(syzygy i, N)
+    -> Ext^1(syzygy i-1, N) -> 0, and Ext^1(syzygy i-1, N) = Ext^i(M, N)
+    for i >= 1.  With h_i = dim Hom(syzygy i, N) and p_{i-1} = dim
+    Hom(P_{i-1}, N), the sum of mult_v(P_{i-1}) dim N_v over the vertices v,
+
+        dim Ext^i(M, N) = h_i - p_{i-1} + h_{i-1}.
+
+    No map is built and no differential or inclusion is read, so this route
+    shares no map-level code with ext_dims_via_complex.
+    """
     res = minimal_resolution(m_mod, cutoff)
-    op = _path_actions(n_mod)
-    dims = [len(hom_basis(m_mod, n_mod))]
-    for i in range(1, cutoff + 1):
+    homs = []
+    for i in range(cutoff + 1):
         syz = res.syzygy(i)
-        if syz.is_zero:
-            dims.append(0)
-            continue
-        full = len(hom_basis(syz, n_mod))
-        incl = res.inclusions[i - 1]
-        proj_homs = _hom_space_basis(res.bundle(i - 1), n_mod, op)
-        if proj_homs:
-            restricted = Matrix.from_rows(
-                n_mod.algebra.field, [(h @ incl).flatten() for h in proj_homs])
-            factoring = rank(restricted)
-        else:
-            factoring = 0
-        dims.append(full - factoring)
+        homs.append(0 if syz.is_zero else len(hom_basis(syz, n_mod)))
+    dims = [homs[0]]
+    for i in range(1, cutoff + 1):
+        p = sum(mult * n_mod.dims[v] for v, mult in enumerate(res.multiplicities(i - 1)))
+        dims.append(homs[i] - p + homs[i - 1])
     return dims
 
 
@@ -252,7 +253,6 @@ def ext_table(m_mod: Representation, n_mod: Representation, cutoff: int) -> ExtT
     """dim Ext^i(M, N) for i <= cutoff, cross-checked between the two
     independent computations; a mismatch is a hard internal error."""
     if m_mod.algebra is not n_mod.algebra:
-        from .modules import AlgebraMismatchError
         raise AlgebraMismatchError("ext_table arguments over different algebras")
     memo = m_mod.algebra._ext_memo
     hit = memo.get((m_mod, n_mod))

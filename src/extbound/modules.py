@@ -2,9 +2,10 @@
 
 Covers hom-space bases, add-membership via the trace criterion, a certified
 isomorphism test, Fitting decomposition into indecomposables, radicals and
-tops, minimal projective covers, and syzygies/cosyzygies.  A true/false
-answer from the certified routines always carries a witness or a structural
-reason; "undetermined" is an explicit outcome, never a silent guess.
+tops, and minimal projective covers (syzygies are read from the minimal
+resolutions in homology).  A true/false answer from the certified routines
+always carries a witness or a structural reason; "undetermined" is an
+explicit outcome, never a silent guess.
 
 Everything here is deterministic.  A module is certified indecomposable by
 an exact locality test of its endomorphism algebra E (Ronyai, Computing the
@@ -28,7 +29,7 @@ from .exactla import (
 )
 from .algebra import (
     Algebra, Path, Representation, direct_sum, direct_sum_with_maps,
-    dual_module, path_action, projective_module, zero_representation,
+    path_action, projective_module, zero_representation,
 )
 
 
@@ -141,15 +142,6 @@ class ModuleMap:
     @property
     def is_invertible(self) -> bool:
         return all(m.rows == m.cols and rank(m) == m.rows for m in self.vertex_maps)
-
-    def inverse_map(self) -> "ModuleMap":
-        invs = []
-        for m in self.vertex_maps:
-            mi = inverse(m)
-            if mi is None:
-                raise ValueError("map is not invertible")
-            invs.append(mi)
-        return ModuleMap._trusted(self.target, self.source, tuple(invs))
 
 
 def hom_basis(source: Representation, target: Representation) -> list[ModuleMap]:
@@ -329,11 +321,12 @@ def _with_pair_sums(basis: list[ModuleMap]):
 def is_isomorphic(m: Representation, n: Representation) -> IsoResult:
     """Certified, deterministic isomorphism test.
 
-    Ladder: dimension vectors, basis homs and their pairwise sums, and
-    finally certified decompositions of both sides with indecomposable
-    factor matching.  Between indecomposables an isomorphism exists exactly
-    when some canonical hom-basis element is invertible, because the
-    non-isomorphisms form a proper subspace.  A decomposition that cannot be
+    Ladder: dimension vectors, Hom(M, N) = 0 (which rules out an
+    isomorphism between nonzero modules), basis homs and their pairwise
+    sums, and finally certified decompositions of both sides with
+    indecomposable factor matching.  Between indecomposables an isomorphism
+    exists exactly when some canonical hom-basis element is invertible,
+    because the non-isomorphisms form a proper subspace.  A decomposition that cannot be
     certified makes the answer "undetermined", never a guess.
     """
     _same_algebra(m, n)
@@ -341,7 +334,10 @@ def is_isomorphic(m: Representation, n: Representation) -> IsoResult:
         return IsoResult("iso", ModuleMap.identity(m))
     if m.dims != n.dims:
         return IsoResult("not_iso", reason="dimension vectors differ")
-    found = _try_invertible(_with_pair_sums(hom_basis(m, n)))
+    homs = hom_basis(m, n)
+    if not homs:  # m != n with equal dimension vectors, so m is nonzero
+        return IsoResult("not_iso", reason="no nonzero homomorphism")
+    found = _try_invertible(_with_pair_sums(homs))
     if found is not None:
         return IsoResult("iso", found)
 
@@ -753,19 +749,6 @@ def _path_actions(rep: Representation):
     return op
 
 
-def _hom_from_generators(bundle: ProjectiveBundle, n_mod: Representation,
-                         gen_values: list[tuple], op) -> ModuleMap:
-    """The hom P -> N determined by a value in N_{vertex(s)} per generator s;
-    op is _path_actions(n_mod)."""
-    alg = bundle.rep.algebra
-    fld = alg.field
-    mats = []
-    for v in range(alg.vertex_count):
-        cols = [op(path).apply(gen_values[s]) for s, path in bundle.vertex_labels[v]]
-        mats.append(Matrix.from_columns(fld, cols, nrows=n_mod.dims[v]))
-    return ModuleMap(bundle.rep, n_mod, tuple(mats))
-
-
 @dataclass(frozen=True)
 class CoverResult:
     projective: Representation
@@ -786,14 +769,16 @@ def projective_cover(rep: Representation) -> CoverResult:
     rad_rep, rad_incl = radical(rep)
     tops = tuple(d - r for d, r in zip(rep.dims, rad_rep.dims))
     bundle = projective_bundle(alg, tops)
-    # canonical lifts of the top basis
-    lifts: dict[int, list[tuple]] = {}
-    for v in range(alg.vertex_count):
-        d = rep.dims[v]
-        lifts[v] = [tuple(fld.one if i == j else fld.zero for i in range(d))
-                    for j in _unit_completion(rad_incl.vertex_maps[v], tops[v])]
-    cover = _hom_from_generators(bundle, rep, [lifts[v][c] for v, c in bundle.summands],
-                                 _path_actions(rep))
+    # generator (v, c) goes to the c-th canonical lift of the top basis at v,
+    # a unit vector: column j of path_action(M, p) is the image p . e_j
+    lifts = [_unit_completion(rad_incl.vertex_maps[v], tops[v])
+             for v in range(alg.vertex_count)]
+    gen_units = [lifts[v][c] for v, c in bundle.summands]
+    op = _path_actions(rep)
+    cover = ModuleMap(bundle.rep, rep, tuple(
+        Matrix.from_columns(fld, [op(path).column(gen_units[s])
+                                  for s, path in bundle.vertex_labels[v]], nrows=rep.dims[v])
+        for v in range(alg.vertex_count)))
     if not cover.is_surjective:
         raise InternalCheckError("projective cover is not surjective")
     # minimality: kernel of the cover lies in rad P, checked vertexwise
@@ -807,21 +792,3 @@ def projective_cover(rep: Representation) -> CoverResult:
         if rank(combined) != prad.dims[v]:
             raise InternalCheckError("projective cover is not minimal")
     return CoverResult(bundle.rep, cover, bundle)
-
-
-def syzygy(rep: Representation, m: int) -> Representation:
-    """The m-th syzygy along minimal projective covers (m = 0 gives M back)."""
-    if m < 0:
-        raise ValueError("syzygy exponent must be >= 0")
-    cur = rep
-    for _ in range(m):
-        if cur.is_zero:
-            return cur
-        cov = projective_cover(cur)
-        cur, _ = kernel(cov.cover)
-    return cur
-
-
-def cosyzygy(rep: Representation, m: int) -> Representation:
-    """The m-th cosyzygy, computed by duality through the opposite algebra."""
-    return dual_module(syzygy(dual_module(rep), m))

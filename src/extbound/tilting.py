@@ -8,7 +8,6 @@ window or an unresolved decomposition is reported undetermined.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .exactla import Matrix, rank
@@ -17,8 +16,8 @@ from .algebra import (
     regular_module, zero_representation,
 )
 from .modules import (
-    AddMembership, InternalCheckError, ModuleMap, cokernel, decompose,
-    hom_basis, in_add,
+    AddMembership, AlgebraMismatchError, InternalCheckError, ModuleMap,
+    cokernel, decompose, hom_basis, in_add,
 )
 from .homology import (
     OnsetResult, PdFinite, PdPeriodic, PdResult, injective_dimension,
@@ -40,7 +39,6 @@ def left_add_approximation(x_mod: Representation, t_mod: Representation) -> Modu
     dropped whenever Hom(T_0, T) still surjects onto Hom(X, T) without it.
     """
     if x_mod.algebra is not t_mod.algebra:
-        from .modules import AlgebraMismatchError
         raise AlgebraMismatchError("approximation arguments over different algebras")
     dec = decompose(t_mod)
     pieces = [fac for fac, _ in dec.factors] if dec.determined else [t_mod]
@@ -144,15 +142,9 @@ def coresolution_corpus(x_mod: Representation, result: CoresolutionResult) -> Co
 
 
 def coresolution_in_add(x_mod: Representation, t_mod: Representation,
-                        maxlen: int, cutoff: int | None = None) -> CoresolutionResult:
+                        maxlen: int) -> CoresolutionResult:
     """Iterated left approximations from X until a cokernel certifies inside
-    add T (that cokernel becomes the last term).
-
-    cutoff is deprecated and ignored: no step of the construction reads it.
-    """
-    if cutoff is not None:
-        warnings.warn("coresolution_in_add: cutoff is unused and deprecated",
-                      DeprecationWarning, stacklevel=2)
+    add T (that cokernel becomes the last term)."""
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
     initial = in_add(x_mod, t_mod)

@@ -37,6 +37,17 @@ def test_right_bound_routes_agree(corpora):
             assert via_dual.value == direct.value
 
 
+def test_corpus_bounds_right_bounds_are_right_bound(corpora):
+    # corpus_bounds takes each rab from one shared dual corpus
+    for corpus in corpora.values():
+        for cutoff in (4, 10):
+            report = eb.corpus_bounds(corpus, cutoff)
+            for (name, rep), (row_name, _, rab, _, idim) in zip(corpus, report.member_stats):
+                assert row_name == name
+                assert rab == eb.right_bound(rep, corpus, cutoff)
+                assert idim == eb.injective_dimension(rep, cutoff)
+
+
 def test_corpus_bounds_loop2(corpora):
     report = eb.corpus_bounds(corpora["LOOP2"], 10)
     assert report.gab == eb.BoundValue(True, 0)

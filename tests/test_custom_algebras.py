@@ -96,8 +96,18 @@ def test_rational_iso_undetermined_is_explicit(loop_q, kronecker_q):
                            eb.simple_module(loop_q, 0)])
     res = eb.is_isomorphic(reg, semis)
     assert res.status == "not_iso"
-    # Ends Q(i) and Q(sqrt -2) are fields bigger than Q, so neither side is
-    # certified indecomposable and the answer is an explicit undetermined
-    res = eb.is_isomorphic(_kronecker_band(kronecker_q, [[0, -1], [1, 0]]),
-                           _kronecker_band(kronecker_q, [[0, -2], [1, 0]]))
+    # Ends Q(i) and Q(sqrt -2) are fields bigger than Q, so neither band is
+    # certified indecomposable; there is no nonzero map between them, which
+    # rules out an isomorphism on its own
+    k = _kronecker_band(kronecker_q, [[0, -1], [1, 0]])
+    k2 = _kronecker_band(kronecker_q, [[0, -2], [1, 0]])
+    assert eb.hom_basis(k, k2) == []
+    res = eb.is_isomorphic(k, k2)
+    assert res.status == "not_iso" and res.reason is not None
+    # K + K against K + K': Hom is 4-dimensional both ways, no basis hom or
+    # pair sum is invertible and neither side decomposes with a
+    # certificate, so the answer is an explicit undetermined
+    kk, kk2 = eb.direct_sum([k, k]), eb.direct_sum([k, k2])
+    assert len(eb.hom_basis(kk, kk2)) == len(eb.hom_basis(kk2, kk)) == 4
+    res = eb.is_isomorphic(kk, kk2)
     assert res.status == "undetermined" and res.reason is not None

@@ -228,3 +228,99 @@ def test_ext_memo_consistency(nak3):
     first = eb.ext_table(s1, s2, 8).dims
     again = eb.ext_table(s1, s2, 4).dims
     assert again == first[:5]
+
+
+def _restriction_rank_reference(m_mod, n_mod, cutoff):
+    """The stable route as it was before dimension shifting: dim Hom(syzygy
+    i, N) minus the rank of restriction from Hom(P_{i-1}, N) along the
+    inclusion, with every hom P_{i-1} -> N built as a ModuleMap."""
+    alg = n_mod.algebra
+    fld = alg.field
+    res = eb.minimal_resolution(m_mod, cutoff)
+    dims = [len(eb.hom_basis(m_mod, n_mod))]
+    for i in range(1, cutoff + 1):
+        syz = res.syzygy(i)
+        if syz.is_zero:
+            dims.append(0)
+            continue
+        bundle = res.bundle(i - 1)
+        restricted = []
+        # the hom sending generator s to basis vector e of N and the others to 0
+        for s, (v, _) in enumerate(bundle.summands):
+            for e in range(n_mod.dims[v]):
+                mats = []
+                for w in range(alg.vertex_count):
+                    cols = [eb.path_action(n_mod, path).column(e) if t == s
+                            else (fld.zero,) * n_mod.dims[w]
+                            for t, path in bundle.vertex_labels[w]]
+                    mats.append(eb.Matrix.from_columns(fld, cols, nrows=n_mod.dims[w]))
+                h = eb.ModuleMap(bundle.rep, n_mod, tuple(mats))
+                restricted.append((h @ res.inclusions[i - 1]).flatten())
+        factoring = eb.rank(eb.Matrix.from_rows(fld, restricted)) if restricted else 0
+        dims.append(len(eb.hom_basis(syz, n_mod)) - factoring)
+    return dims
+
+
+def _cyclic_nakayama(vertices, length):
+    field = eb.FieldSpec.prime(5)
+    names = [str(i + 1) for i in range(vertices)]
+    quiver = eb.Quiver.build(names, [(f"a{names[i]}", names[i], names[(i + 1) % vertices])
+                                     for i in range(vertices)])
+    rels = tuple(eb.make_relation(field, [(1, quiver.path(
+        [f"a{names[(i + k) % vertices]}" for k in range(length)]))])
+        for i in range(vertices))
+    return eb.build_algebra(eb.AlgebraPresentation(field, quiver, rels, length))
+
+
+def _quantum_exterior_q():
+    """Q<x,y>/(x^2, y^2, xy - 2yx) with the 2-dimensional modules M_(1:1)
+    and M_(1:1/4) (x, y act as multiples of top -> socle); Ext^i between
+    them is nonzero exactly in degrees 2 and 3 for i >= 1."""
+    field = eb.FieldSpec.rationals()
+    q = eb.Quiver.build(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    rels = (eb.make_relation(field, [(1, q.path(["x", "x"]))]),
+            eb.make_relation(field, [(1, q.path(["y", "y"]))]),
+            eb.make_relation(field, [(1, q.path(["y", "x"])), (-2, q.path(["x", "y"]))]))
+    alg = eb.build_algebra(eb.AlgebraPresentation(field, q, rels, 3))
+
+    def band(a, b):
+        return eb.Representation(alg, (2,), (
+            eb.Matrix.from_rows(field, [[0, 0], [a, 0]]),
+            eb.Matrix.from_rows(field, [[0, 0], [b, 0]])))
+    return band("1", "1"), band("1", "1/4")
+
+
+def test_stable_route_matches_restriction_rank_on_fixtures(corpora):
+    for corpus in corpora.values():
+        for _, m_mod in corpus:
+            for _, n_mod in corpus:
+                assert eb.ext_dims_via_stable(m_mod, n_mod, 6) == \
+                    _restriction_rank_reference(m_mod, n_mod, 6)
+
+
+def test_stable_route_matches_restriction_rank_on_nakayama():
+    alg = _cyclic_nakayama(7, 3)
+    mods = [eb.simple_module(alg, v) for v in range(7)]
+    mods += [eb.projective_module(alg, v) for v in range(7)]
+    for m_mod in mods:
+        for n_mod in mods:
+            assert eb.ext_dims_via_stable(m_mod, n_mod, 6) == \
+                _restriction_rank_reference(m_mod, n_mod, 6)
+
+
+def test_stable_route_matches_restriction_rank_over_q():
+    m_mod, n_mod = _quantum_exterior_q()
+    dims = eb.ext_dims_via_stable(m_mod, n_mod, 6)
+    assert dims == _restriction_rank_reference(m_mod, n_mod, 6)
+    assert [i for i in range(1, 7) if dims[i]] == [2, 3]
+
+
+def test_ext_table_rejects_route_disagreement(monkeypatch, nak3):
+    from extbound import homology
+    honest = homology.ext_dims_via_stable
+    monkeypatch.setattr(homology, "ext_dims_via_stable",
+                        lambda m, n, c: [d + 1 for d in honest(m, n, c)])
+    # a pair no other test resolves, so the Ext memo cannot answer first
+    s1, s2 = eb.simple_module(nak3, 0), eb.simple_module(nak3, 1)
+    with pytest.raises(eb.InternalCheckError, match="disagreement"):
+        eb.ext_table(eb.direct_sum([s1, s2, s2, s1]), s1, 3)

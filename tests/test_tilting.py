@@ -53,12 +53,6 @@ def test_coresolution_failure(a2):
     assert result.reason == "approximation not injective"
 
 
-def test_coresolution_cutoff_deprecated(a2, a2_tilting):
-    with pytest.warns(DeprecationWarning, match="cutoff"):
-        result = eb.coresolution_in_add(eb.regular_module(a2), a2_tilting, 8, 10)
-    assert result.success and result.length == 1
-
-
 def test_selforthogonality(a2_tilting, corpora):
     assert eb.is_selforthogonal(a2_tilting, 10).status == "certified_true"
     loop = corpora["LOOP2"]
