@@ -277,12 +277,22 @@ class Algebra:
         self._injectives: dict[int, "Representation"] = {}
         self._regular: "Representation | None" = None
         self._resolution_memo: dict = {}
+        self._step_memo: dict = {}
         self._ext_memo: dict = {}
         self._hom_memo: dict = {}
 
     @property
     def vertex_count(self) -> int:
         return self.quiver.vertex_count
+
+    def clear_caches(self) -> None:
+        """Empty the memos of resolutions, resolution steps, Hom bases and
+        Ext tables.  They refill on demand with equal values.  The
+        projective, injective and regular modules stay, as the algebra's own
+        modules."""
+        for memo in (self._resolution_memo, self._step_memo, self._hom_memo,
+                     self._ext_memo):
+            memo.clear()
 
     def multiply_basis(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
         """Structure constants of basis[i] * basis[j] (apply j first, then i)."""

@@ -237,7 +237,17 @@ def check_regular_onset_formula(module: Representation, corpus: Corpus,
     certifies eventual vanishing, and the regular module belongs to the
     corpus up to add-closure, the bound must equal the vanishing onset
     against the regular module."""
-    lab = left_bound(module, corpus, cutoff)
+    return _regular_onset_outcome(
+        module, corpus, cutoff, left_bound(module, corpus, cutoff),
+        lambda: in_add_family(regular_module(corpus.algebra),
+                              [rep for _, rep in corpus]).member)
+
+
+def _regular_onset_outcome(module: Representation, corpus: Corpus, cutoff: int,
+                           lab: AbResult, contains_regular) -> CheckOutcome:
+    """check_regular_onset_formula given the module's left bound over the
+    corpus; contains_regular() answers whether the regular module lies in
+    the corpus up to add, and is asked only when that decides the outcome."""
     if not lab.exact:
         return CheckOutcome("not_applicable", "left bound not exact at this cutoff")
     onset = onset_against_regular(module, cutoff)
@@ -245,13 +255,11 @@ def check_regular_onset_formula(module: Representation, corpus: Corpus,
         return CheckOutcome(
             "not_applicable",
             f"onset against the regular module is {onset.status} at cutoff {cutoff}")
-    if corpus.members:
-        if not in_add_family(regular_module(corpus.algebra),
-                             [rep for _, rep in corpus]).member:
-            return CheckOutcome("not_applicable",
-                                "corpus does not contain the regular module up to add")
-    else:
+    if not corpus.members:
         return CheckOutcome("not_applicable", "empty corpus")
+    if not contains_regular():
+        return CheckOutcome("not_applicable",
+                            "corpus does not contain the regular module up to add")
     if lab.value == onset.onset:
         return CheckOutcome("pass", f"left bound {lab.value} equals regular onset")
     return CheckOutcome("fail",
@@ -655,7 +663,8 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     # the regular-onset formula holds wherever its hypotheses certify
     ok, checked = True, 0
     for name, rep in corpus:
-        outcome = check_regular_onset_formula(rep, corpus, cutoff)
+        outcome = _regular_onset_outcome(rep, corpus, cutoff, labs[name],
+                                         lambda: report.contains_regular)
         if outcome.status == "fail":
             ok = False
         if outcome.status != "not_applicable":

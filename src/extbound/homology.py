@@ -13,7 +13,11 @@ about all sufficiently large degrees are made only under a certificate: a
 terminated resolution or a verified syzygy periodicity.  Cutoffs alone never
 turn into "for all large degrees" statements.
 
-Resolutions are memoized per algebra and extended incrementally.
+Resolutions are memoized per algebra and extended incrementally.  Their
+steps are shared too: the projective cover of a module and the kernel of that
+cover are computed once per distinct module per algebra (_resolution_step),
+so every resolution that reaches a module, say the one of its syzygy or of a
+module it is a syzygy of, reuses the same cover, syzygy and inclusion.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ class MinimalResolution:
     terms and its stored zero syzygy; those of an unterminated one raise
     ValueError, since the terms there are unknown, not zero.  A negative
     degree raises ValueError.
+
+    Each step (cover, syzygy, inclusion) comes from _resolution_step, which
+    shares it with every other resolution over the same algebra that reaches
+    an equal module: the resolution of syzygy 1 holds the very cover objects
+    of this one from degree 1 on.
     """
 
     def __init__(self, module: Representation):
@@ -48,6 +57,8 @@ class MinimalResolution:
         self.syzygies: list[Representation] = [module]
         self.covers: list[CoverResult] = []
         self.inclusions: list[ModuleMap] = []  # syzygy k+1 into P_k
+        # least k with syzygy k zero, once reached
+        self.terminated_at: int | None = 0 if module.is_zero else None
         self._differentials: dict[int, ModuleMap] = {}
         self._periodicity_searched = -1
         self._periodicity: "PeriodicityCertificate | None" = None
@@ -58,28 +69,18 @@ class MinimalResolution:
         return len(self.covers) - 1
 
     @property
-    def terminated_at(self) -> int | None:
-        """Least k with syzygy k equal to zero, when reached."""
-        for k, s in enumerate(self.syzygies):
-            if s.is_zero:
-                return k
-        return None
-
-    @property
     def terminated(self) -> bool:
         return self.terminated_at is not None
 
     def extend(self, upto: int) -> None:
         with self._lock:
-            while len(self.covers) <= upto:
-                current = self.syzygies[len(self.covers)]
-                if current.is_zero:
-                    break  # terminated; all later terms are zero
-                cov = projective_cover(current)
+            while len(self.covers) <= upto and self.terminated_at is None:
+                cov, syz, incl = _resolution_step(self.syzygies[-1])
                 self.covers.append(cov)
-                syz, incl = kernel(cov.cover)
                 self.syzygies.append(syz)
                 self.inclusions.append(incl)
+                if syz.is_zero:
+                    self.terminated_at = len(self.syzygies) - 1
 
     def multiplicities(self, k: int) -> tuple[int, ...]:
         """Summand counts of P_k (past-end contract in the class docstring)."""
@@ -121,6 +122,27 @@ class MinimalResolution:
         if d is None:
             d = self._differentials[k] = self.inclusions[k - 1] @ self.covers[k].cover
         return d
+
+
+def _resolution_step(module: Representation) -> tuple[CoverResult, Representation, ModuleMap]:
+    """The projective cover of a nonzero module, the kernel of that cover
+    and its inclusion, memoized per algebra.
+
+    The key is the module itself, under the exact structural equality of the
+    other per-algebra memos.  Every check (cover surjective and minimal,
+    kernel a genuine module, inclusion intertwining) runs once, for the first
+    module of its class that is resolved; a hit returns the result already
+    proven for an equal module.  Two threads may race on the same module:
+    both compute and check equal results, and both return the one stored
+    first.
+    """
+    memo = module.algebra._step_memo
+    step = memo.get(module)
+    if step is None:
+        cov = projective_cover(module)
+        syz, incl = kernel(cov.cover)
+        step = memo.setdefault(module, (cov, syz, incl))
+    return step
 
 
 def minimal_resolution(module: Representation, cutoff: int) -> MinimalResolution:

@@ -166,3 +166,16 @@ def test_property_report_serializes(corpora):
     assert data["cutoff"] == 8
     assert all(s["status"] in ("pass", "fail", "skipped")
                for s in data["statements"])
+
+
+def test_regular_onset_statement_counts_the_applicable_members(corpora):
+    for corpus in corpora.values():
+        for cutoff in (1, 10):
+            statement = next(s for s in eb.verify_bound_properties(corpus, cutoff).statements
+                             if s.statement == "regular-onset-formula")
+            outcomes = [eb.check_regular_onset_formula(rep, corpus, cutoff)
+                        for _, rep in corpus]
+            applicable = sum(o.status != "not_applicable" for o in outcomes)
+            assert statement.detail == f"{applicable} applicable members"
+            assert statement.status == ("fail" if any(o.status == "fail" for o in outcomes)
+                                        else "pass")

@@ -324,3 +324,111 @@ def test_ext_table_rejects_route_disagreement(monkeypatch, nak3):
     s1, s2 = eb.simple_module(nak3, 0), eb.simple_module(nak3, 1)
     with pytest.raises(eb.InternalCheckError, match="disagreement"):
         eb.ext_table(eb.direct_sum([s1, s2, s2, s1]), s1, 3)
+
+
+# ----- resolution steps shared per algebra -----------------------------------
+
+
+def test_syzygy_resolution_shares_the_steps():
+    alg = _cyclic_nakayama(8, 5)
+    s, k = eb.simple_module(alg, 0), 6
+    whole = eb.minimal_resolution(s, k)
+    tail = eb.minimal_resolution(eb.syzygy(s, 1), k - 1)
+    for j in range(k):
+        assert tail.covers[j] is whole.covers[j + 1]
+        assert tail.inclusions[j] is whole.inclusions[j + 1]
+        assert tail.syzygies[j + 1] is whole.syzygies[j + 2]
+
+
+def test_one_cover_per_distinct_module(monkeypatch, corpora):
+    from extbound import homology
+    counted = []
+    honest = homology.projective_cover
+
+    def counting(rep):
+        counted.append(rep)
+        return honest(rep)
+    monkeypatch.setattr(homology, "projective_cover", counting)
+    for corpus in corpora.values():
+        corpus.algebra.clear_caches()
+        start, resolved = len(counted), set()
+        for _, rep in corpus:
+            for m_mod in (rep, eb.direct_sum([rep, rep])):
+                res = eb.minimal_resolution(m_mod, 6)
+                resolved.update(res.syzygies[:len(res.covers)])
+        assert len(counted) - start == len(resolved) == len(corpus.algebra._step_memo)
+        assert set(counted[start:]) == resolved
+        for _, rep in corpus:  # every step is now a memo hit
+            eb.minimal_resolution(eb.syzygy(rep, 2), 4)
+        assert len(counted) - start == len(resolved)
+
+
+def _resolution_facts(m_mod, n_mod, k):
+    res = eb.minimal_resolution(m_mod, k)
+    return ([res.syzygy(i) for i in range(k + 1)], [res.multiplicities(i) for i in range(k + 1)],
+            eb.ext_table(m_mod, n_mod, k).dims)
+
+
+def test_resolving_the_syzygy_first_gives_the_same_resolution(corpora):
+    k = 5
+    for corpus in corpora.values():
+        alg = corpus.algebra
+        for _, m_mod in corpus:
+            n_mod = eb.regular_module(alg)
+            alg.clear_caches()
+            first = _resolution_facts(m_mod, n_mod, k)
+            tail_first = _resolution_facts(first[0][1], n_mod, k - 1)
+            om = eb.syzygy(m_mod, 1)
+            alg.clear_caches()
+            tail = _resolution_facts(om, n_mod, k - 1)
+            assert _resolution_facts(m_mod, n_mod, k) == first
+            assert tail == tail_first
+            assert tail[0] == first[0][1:]
+
+
+def test_clear_caches_empties_the_memos_and_keeps_results(corpora):
+    corpus = corpora["CNAK2"]
+    alg = corpus.algebra
+    s1, s2 = corpus.get("S1"), eb.simple_module(alg, 1)
+    projectives = dict(alg._projectives)
+    before = (eb.ext_table(s1, s2, 6).dims, eb.projective_dimension(s1, 6),
+              len(eb.hom_basis(s1, eb.regular_module(alg))))
+    regular = alg._regular
+    alg.clear_caches()
+    for memo in (alg._resolution_memo, alg._step_memo, alg._hom_memo, alg._ext_memo):
+        assert memo == {}
+    assert alg._projectives == projectives and alg._regular is regular
+    after = (eb.ext_table(s1, s2, 6).dims, eb.projective_dimension(s1, 6),
+             len(eb.hom_basis(s1, eb.regular_module(alg))))
+    assert after == before
+
+
+def test_racing_threads_share_one_step_per_module():
+    import sys
+    import threading
+    alg = _cyclic_nakayama(6, 4)
+    alg.clear_caches()
+    simples = [eb.simple_module(alg, v) for v in range(6)]
+    # each thread resolves its own (unmemoized) copies, so only steps are shared
+    results: list = []
+
+    def work():
+        for s in simples:
+            res = eb.MinimalResolution(s)
+            res.extend(8)
+            results.append(res)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 * len(simples)
+    for res in results:
+        for j, cov in enumerate(res.covers):
+            assert cov is alg._step_memo[res.syzygies[j]][0]
