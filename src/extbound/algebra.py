@@ -280,18 +280,19 @@ class Algebra:
         self._step_memo: dict = {}
         self._ext_memo: dict = {}
         self._hom_memo: dict = {}
+        self._onset_memo: dict = {}
 
     @property
     def vertex_count(self) -> int:
         return self.quiver.vertex_count
 
     def clear_caches(self) -> None:
-        """Empty the memos of resolutions, resolution steps, Hom bases and
-        Ext tables.  They refill on demand with equal values.  The
-        projective, injective and regular modules stay, as the algebra's own
-        modules."""
+        """Empty the memos of resolutions, resolution steps, Hom bases, Ext
+        tables and vanishing onsets.  They refill on demand with equal
+        values.  The projective, injective and regular modules stay, as the
+        algebra's own modules."""
         for memo in (self._resolution_memo, self._step_memo, self._hom_memo,
-                     self._ext_memo):
+                     self._ext_memo, self._onset_memo):
             memo.clear()
 
     def multiply_basis(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
@@ -463,6 +464,15 @@ class Representation:
                 raise ValueError(
                     f"relation with leading term {rel[0][1].render(alg.quiver)} "
                     "does not act as zero")
+
+    def __hash__(self) -> int:
+        # Every per-algebra memo lookup hashes its module keys; the arrow
+        # matrices are immutable, so their hash is computed once and stored.
+        # Same fields as the dataclass __eq__, so equal modules hash equal.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.algebra, self.dims, self.arrow_matrices))
+        return h
 
     @property
     def total_dim(self) -> int:

@@ -434,13 +434,26 @@ def cmd_verify(args):
 # ----- parser -------------------------------------------------------------------
 
 
-def _add_common(sp, *, cutoff=True, maxlen=False, module=False, against=False,
+def _cutoff_type(minimum: int):
+    """argparse type of --cutoff: an integer >= minimum, else a usage error."""
+    def cutoff(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return cutoff
+
+
+def _add_common(sp, *, min_cutoff=1, maxlen=False, module=False, against=False,
                 corpus=False, algebra=False):
+    """Shared arguments; min_cutoff None means the command takes no --cutoff."""
     sp.add_argument("--seed", type=int, default=0, help="accepted and echoed; has no effect")
     sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    if cutoff:
-        sp.add_argument("--cutoff", "--max", type=int, default=20, dest="cutoff",
-                        help="maximal homological degree inspected (default 20)")
+    if min_cutoff is not None:
+        sp.add_argument("--cutoff", "--max", type=_cutoff_type(min_cutoff), default=20,
+                        dest="cutoff",
+                        help=f"maximal homological degree inspected, >= {min_cutoff} "
+                             "(default 20)")
     if maxlen:
         sp.add_argument("--maxlen", type=int, default=8,
                         help="maximal coresolution length (default 8)")
@@ -474,21 +487,21 @@ def build_parser() -> argparse.ArgumentParser:
     alg = sub.add_parser("algebra", help="algebra operations")
     alg_sub = alg.add_subparsers(dest="subcommand", required=True)
     sp = alg_sub.add_parser("info", help="basis, dimensions and structure")
-    _add_common(sp, cutoff=False, algebra=True)
+    _add_common(sp, min_cutoff=None, algebra=True)
     sp.set_defaults(handler=cmd_algebra_info)
 
     mod = sub.add_parser("module", help="module operations")
     mod_sub = mod.add_subparsers(dest="subcommand", required=True)
     sp = mod_sub.add_parser("check", help="validate a module file")
-    _add_common(sp, cutoff=False, module=True)
+    _add_common(sp, min_cutoff=None, module=True)
     sp.set_defaults(handler=cmd_module_check)
 
     sp = sub.add_parser("resolve", help="minimal projective resolution")
-    _add_common(sp, module=True)
+    _add_common(sp, min_cutoff=0, module=True)
     sp.set_defaults(handler=cmd_resolve)
 
     sp = sub.add_parser("ext", help="Ext dimension table")
-    _add_common(sp, module=True, against=True)
+    _add_common(sp, min_cutoff=0, module=True, against=True)
     sp.set_defaults(handler=cmd_ext)
 
     sp = sub.add_parser("pd", help="projective dimension")
@@ -545,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_verify)
 
     sp = sub.add_parser("corpus", help="generate a standard corpus file")
-    _add_common(sp, cutoff=False, algebra=True)
+    _add_common(sp, min_cutoff=None, algebra=True)
     sp.add_argument("--spec", required=True,
                     choices=("simples", "projectives", "injectives",
                              "syzygy-closure", "fixture-indecomposables"))

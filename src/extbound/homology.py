@@ -18,6 +18,8 @@ steps are shared too: the projective cover of a module and the kernel of that
 cover are computed once per distinct module per algebra (_resolution_step),
 so every resolution that reaches a module, say the one of its syzygy or of a
 module it is a syzygy of, reuses the same cover, syzygy and inclusion.
+Vanishing onsets are memoized per algebra as well, one OnsetResult per
+(M, N, cutoff), so a bound grid that meets a pair again reads its decision.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ class MinimalResolution:
         self.syzygies: list[Representation] = [module]
         self.covers: list[CoverResult] = []
         self.inclusions: list[ModuleMap] = []  # syzygy k+1 into P_k
+        self._multiplicities: list[tuple[int, ...]] = []  # summand counts of P_k
         # least k with syzygy k zero, once reached
         self.terminated_at: int | None = 0 if module.is_zero else None
         self._differentials: dict[int, ModuleMap] = {}
@@ -76,7 +79,11 @@ class MinimalResolution:
         with self._lock:
             while len(self.covers) <= upto and self.terminated_at is None:
                 cov, syz, incl = _resolution_step(self.syzygies[-1])
+                mult = [0] * self.algebra.vertex_count
+                for v, _ in cov.bundle.summands:
+                    mult[v] += 1
                 self.covers.append(cov)
+                self._multiplicities.append(tuple(mult))
                 self.syzygies.append(syz)
                 self.inclusions.append(incl)
                 if syz.is_zero:
@@ -85,10 +92,7 @@ class MinimalResolution:
     def multiplicities(self, k: int) -> tuple[int, ...]:
         """Summand counts of P_k (past-end contract in the class docstring)."""
         if self._computed(k, len(self.covers), "term"):
-            mult = [0] * self.algebra.vertex_count
-            for v, _ in self.covers[k].bundle.summands:
-                mult[v] += 1
-            return tuple(mult)
+            return self._multiplicities[k]
         return (0,) * self.algebra.vertex_count
 
     def bundle(self, k: int) -> ProjectiveBundle:
@@ -276,6 +280,8 @@ def ext_table(m_mod: Representation, n_mod: Representation, cutoff: int) -> ExtT
     independent computations; a mismatch is a hard internal error."""
     if m_mod.algebra is not n_mod.algebra:
         raise AlgebraMismatchError("ext_table arguments over different algebras")
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     memo = m_mod.algebra._ext_memo
     hit = memo.get((m_mod, n_mod))
     if hit is not None and hit[0] >= cutoff:
@@ -465,7 +471,21 @@ def vanishing_onset(m_mod: Representation, n_mod: Representation,
     Decisions come only from certificates: a terminated resolution bounds
     everything, a periodicity certificate reduces the infinite tail to one
     period window.  Anything else is reported undetermined at the cutoff.
+
+    The result is memoized per algebra under the key (M, N, cutoff), with
+    the structural equality of the other memos; racing threads both compute
+    and both return the result stored first.
     """
+    memo = m_mod.algebra._onset_memo
+    key = (m_mod, n_mod, cutoff)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo.setdefault(key, _decide_onset(m_mod, n_mod, cutoff))
+    return hit
+
+
+def _decide_onset(m_mod: Representation, n_mod: Representation,
+                  cutoff: int) -> OnsetResult:
     pd_res = projective_dimension(m_mod, cutoff)
     if isinstance(pd_res, PdFinite):
         depth = max(pd_res.value, 0)

@@ -249,6 +249,41 @@ def test_usage_errors_exit_3_not_undetermined(capsys):
     assert exc.value.code == 0
 
 
+_CUTOFF_COMMANDS = {
+    "resolve": (0, ["--module", "builtin:A2:S1"]),
+    "ext": (0, ["--module", "builtin:A2:S1", "--against", "regular"]),
+    "pd": (1, ["--module", "builtin:A2:S1"]),
+    "id": (1, ["--module", "builtin:A2:S1"]),
+    "onset": (1, ["--module", "builtin:A2:S1", "--against", "regular"]),
+    "ab": (1, ["--module", "builtin:A2:S1", "--corpus", "builtin:A2"]),
+    "bounds": (1, ["--corpus", "builtin:A2"]),
+    "tilting": (1, ["--module", "builtin:A2:S1"]),
+    "wakamatsu": (1, ["--module", "builtin:A2:S1"]),
+    "ewtc": (1, ["--module", "builtin:A2:S1"]),
+    "arc": (1, ["--corpus", "builtin:A2"]),
+    "gsc": (1, ["--algebra", "builtin:A2"]),
+    "uc": (1, ["--module", "builtin:A2:S1"]),
+    "verify": (1, ["--fixtures", "A2"]),
+}
+
+
+@pytest.mark.parametrize("command,offset",
+                         [(c, off) for c in _CUTOFF_COMMANDS for off in (1, 2)])
+def test_cutoff_below_minimum_is_a_usage_error(capsys, command, offset):
+    minimum, args = _CUTOFF_COMMANDS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--cutoff", str(minimum - offset)])
+    assert exc.value.code == 3
+    assert f"must be >= {minimum}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["resolve", "ext", "pd", "gsc"])
+def test_cutoff_at_minimum_runs(capsys, command):
+    minimum, args = _CUTOFF_COMMANDS[command]
+    code, out, _ = run(capsys, command, *args, "--cutoff", str(minimum), "--format", "json")
+    assert code in (0, 2) and json.loads(out)["cutoff"] == minimum
+
+
 def test_unknown_fixture_exit_3(capsys):
     code, _, err = run(capsys, "gsc", "--algebra", "builtin:NOPE")
     assert code == 3 and "error:" in err

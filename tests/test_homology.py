@@ -222,6 +222,13 @@ def test_multiplicity_law_spot(cnak2):
             assert dims[i] == res.multiplicities(i)[j]
 
 
+def test_ext_table_rejects_negative_cutoff(nak3):
+    s1 = eb.simple_module(nak3, 0)
+    with pytest.raises(ValueError, match="cutoff"):
+        eb.ext_table(s1, s1, -1)
+    assert eb.ext_table(s1, s1, 0).dims == (1,)
+
+
 def test_ext_memo_consistency(nak3):
     s1 = eb.simple_module(nak3, 0)
     s2 = eb.simple_module(nak3, 1)
@@ -392,14 +399,15 @@ def test_clear_caches_empties_the_memos_and_keeps_results(corpora):
     s1, s2 = corpus.get("S1"), eb.simple_module(alg, 1)
     projectives = dict(alg._projectives)
     before = (eb.ext_table(s1, s2, 6).dims, eb.projective_dimension(s1, 6),
-              len(eb.hom_basis(s1, eb.regular_module(alg))))
+              len(eb.hom_basis(s1, eb.regular_module(alg))), eb.vanishing_onset(s1, s2, 6))
     regular = alg._regular
     alg.clear_caches()
-    for memo in (alg._resolution_memo, alg._step_memo, alg._hom_memo, alg._ext_memo):
+    for memo in (alg._resolution_memo, alg._step_memo, alg._hom_memo, alg._ext_memo,
+                 alg._onset_memo):
         assert memo == {}
     assert alg._projectives == projectives and alg._regular is regular
     after = (eb.ext_table(s1, s2, 6).dims, eb.projective_dimension(s1, 6),
-             len(eb.hom_basis(s1, eb.regular_module(alg))))
+             len(eb.hom_basis(s1, eb.regular_module(alg))), eb.vanishing_onset(s1, s2, 6))
     assert after == before
 
 
@@ -411,12 +419,16 @@ def test_racing_threads_share_one_step_per_module():
     simples = [eb.simple_module(alg, v) for v in range(6)]
     # each thread resolves its own (unmemoized) copies, so only steps are shared
     results: list = []
+    onsets: list = []
 
     def work():
         for s in simples:
             res = eb.MinimalResolution(s)
             res.extend(8)
             results.append(res)
+        for s in simples:
+            for t in simples:
+                onsets.append(((s, t, 8), eb.vanishing_onset(s, t, 8)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -432,3 +444,66 @@ def test_racing_threads_share_one_step_per_module():
     for res in results:
         for j, cov in enumerate(res.covers):
             assert cov is alg._step_memo[res.syzygies[j]][0]
+    assert len(onsets) == 4 * len(simples) ** 2
+    for key, onset in onsets:
+        assert onset is alg._onset_memo[key]
+
+
+# ----- per-module hash and per-triple onset memo ---------------------------------
+
+
+def test_second_hash_rehashes_no_matrix(monkeypatch, nak3):
+    calls = []
+    honest = eb.Matrix.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return honest(self)
+    monkeypatch.setattr(eb.Matrix, "__hash__", counting)
+    rep = eb.direct_sum([eb.simple_module(nak3, 0), eb.projective_module(nak3, 1)])
+    first = hash(rep)
+    assert len(calls) == len(rep.arrow_matrices)
+    assert hash(rep) == first and len(calls) == len(rep.arrow_matrices)
+
+
+def test_equal_modules_built_apart_share_one_onset(nak3):
+    nak3.clear_caches()
+    s1, s2 = eb.simple_module(nak3, 0), eb.simple_module(nak3, 1)
+    a, b = eb.direct_sum([s1, s2]), eb.direct_sum([s1, s2])
+    assert a is not b and a == b and hash(a) == hash(b)
+    onset = eb.vanishing_onset(a, s1, 6)
+    assert eb.vanishing_onset(b, s1, 6) is onset
+    assert list(nak3._onset_memo) == [(a, s1, 6)]
+
+
+def test_repeated_onset_is_the_stored_result(loop2):
+    s, reg = eb.simple_module(loop2, 0), eb.regular_module(loop2)
+    for n_mod in (s, reg):
+        first = eb.vanishing_onset(s, n_mod, 9)
+        assert eb.vanishing_onset(s, n_mod, 9) is first
+        assert eb.vanishing_onset(s, n_mod, 10) is not first  # another cutoff, another key
+
+
+def test_bound_properties_compute_one_onset_per_triple(monkeypatch, corpora):
+    from extbound import bounds, homology
+    computed, asked = [], []
+    honest_decide, honest_onset = homology._decide_onset, bounds.vanishing_onset
+
+    def decide(m_mod, n_mod, cutoff):
+        computed.append((m_mod, n_mod, cutoff))
+        return honest_decide(m_mod, n_mod, cutoff)
+
+    def onset(m_mod, n_mod, cutoff):
+        asked.append((m_mod, n_mod, cutoff))
+        return honest_onset(m_mod, n_mod, cutoff)
+    monkeypatch.setattr(homology, "_decide_onset", decide)
+    monkeypatch.setattr(bounds, "vanishing_onset", onset)
+    corpus = corpora["CNAK2"]
+    alg = corpus.algebra
+    alg.clear_caches()
+    eb.opposite(alg).clear_caches()
+    eb.verify_bound_properties(corpus, 8)
+    assert len(set(asked)) < len(asked)  # the grid meets pairs again
+    assert len(set(computed)) == len(computed)
+    assert set(asked) <= set(computed)
+    assert len(computed) == len(alg._onset_memo) + len(eb.opposite(alg)._onset_memo)
