@@ -465,6 +465,15 @@ class Representation:
                     f"relation with leading term {rel[0][1].render(alg.quiver)} "
                     "does not act as zero")
 
+    @classmethod
+    def _trusted(cls, algebra: Algebra, dims: tuple, arrow_matrices: tuple) -> "Representation":
+        # bypass the shape and relation re-check for modules that are valid by
+        # construction; the caller states the argument (see modules.kernel)
+        obj = object.__new__(cls)
+        d = obj.__dict__
+        d["algebra"], d["dims"], d["arrow_matrices"] = algebra, dims, arrow_matrices
+        return obj
+
     def __hash__(self) -> int:
         # Every per-algebra memo lookup hashes its module keys; the arrow
         # matrices are immutable, so their hash is computed once and stored.
@@ -514,16 +523,17 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
     mats = []
     for ai, a in enumerate(alg.quiver.arrows):
         rows_t, cols_s = dims[a.target], dims[a.source]
-        block = [[fld.zero] * cols_s for _ in range(rows_t)]
+        # the summands' entries are already field elements: copy them as they are
+        block = [fld.zero] * (rows_t * cols_s)
         ro = co = 0
         for r in reps:
             m = r.arrow_matrices[ai]
             for i in range(m.rows):
-                for j in range(m.cols):
-                    block[ro + i][co + j] = m.entry(i, j)
+                start = (ro + i) * cols_s + co
+                block[start:start + m.cols] = m.entries[i * m.cols:(i + 1) * m.cols]
             ro += r.dims[a.target]
             co += r.dims[a.source]
-        mats.append(Matrix.from_rows(fld, block) if rows_t else Matrix.zeros(fld, 0, cols_s))
+        mats.append(Matrix._trusted(fld, rows_t, cols_s, tuple(block)))
     return Representation(alg, dims, tuple(mats))
 
 

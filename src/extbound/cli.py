@@ -434,14 +434,15 @@ def cmd_verify(args):
 # ----- parser -------------------------------------------------------------------
 
 
-def _cutoff_type(minimum: int):
-    """argparse type of --cutoff: an integer >= minimum, else a usage error."""
-    def cutoff(text: str) -> int:
+def _at_least(minimum: int):
+    """argparse type of --cutoff, --maxlen and --depth: an integer >= minimum,
+    else a usage error."""
+    def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value
-    return cutoff
+    return integer
 
 
 def _add_common(sp, *, min_cutoff=1, maxlen=False, module=False, against=False,
@@ -450,13 +451,13 @@ def _add_common(sp, *, min_cutoff=1, maxlen=False, module=False, against=False,
     sp.add_argument("--seed", type=int, default=0, help="accepted and echoed; has no effect")
     sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
     if min_cutoff is not None:
-        sp.add_argument("--cutoff", "--max", type=_cutoff_type(min_cutoff), default=20,
+        sp.add_argument("--cutoff", "--max", type=_at_least(min_cutoff), default=20,
                         dest="cutoff",
                         help=f"maximal homological degree inspected, >= {min_cutoff} "
                              "(default 20)")
     if maxlen:
-        sp.add_argument("--maxlen", type=int, default=8,
-                        help="maximal coresolution length (default 8)")
+        sp.add_argument("--maxlen", type=_at_least(0), default=8,
+                        help="maximal coresolution length, >= 0 (default 8)")
     if module:
         sp.add_argument("--module", required=True,
                         help="module file or builtin:FIXTURE:NAME")
@@ -564,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "syzygy-closure", "fixture-indecomposables"))
     sp.add_argument("--seed-module", action="append", default=[],
                     help="seed module file (repeatable, for syzygy-closure)")
-    sp.add_argument("--depth", type=int, default=3)
+    sp.add_argument("--depth", type=_at_least(0), default=3,
+                    help="syzygy depth, >= 0 (for syzygy-closure; default 3)")
     sp.add_argument("--fixture", default=None,
                     help="fixture name (for fixture-indecomposables)")
     sp.add_argument("--out", required=True)
@@ -573,9 +575,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# corpus specs that need an argument argparse cannot require on its own
+_CORPUS_SPEC_NEEDS = {"syzygy-closure": ("seed_module", "--seed-module"),
+                      "fixture-indecomposables": ("fixture", "--fixture")}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "corpus":
+        needed = _CORPUS_SPEC_NEEDS.get(args.spec)
+        if needed and not getattr(args, needed[0]):
+            parser.error(f"corpus --spec {args.spec} needs {needed[1]}")
     try:
         code, payload, human = args.handler(args)
     except _INPUT_ERRORS as exc:

@@ -20,6 +20,17 @@ so every resolution that reaches a module, say the one of its syzygy or of a
 module it is a syzygy of, reuses the same cover, syzygy and inclusion.
 Vanishing onsets are memoized per algebra as well, one OnsetResult per
 (M, N, cutoff), so a bound grid that meets a pair again reads its decision.
+
+Each resolution step is proven by one exact certificate instead of
+re-checking objects that are valid by construction.  One canonical kernel
+basis per vertex of the cover P -> M gives surjectivity (rank), minimality
+(every kernel vector is 0 at the trivial-path coordinates of P, which is
+"kernel inside rad P" because relations have length >= 2), and the syzygy:
+its arrow matrices are read off at the free coordinates of the basis, and
+one equality per arrow, the inclusion's intertwining equation, proves the
+basis arrow-stable.  The syzygy satisfies the relations because the inclusion
+is injective and P is a checked module (modules.projective_cover and
+modules.kernel give the proofs).
 """
 
 from __future__ import annotations
@@ -133,18 +144,25 @@ def _resolution_step(module: Representation) -> tuple[CoverResult, Representatio
     and its inclusion, memoized per algebra.
 
     The key is the module itself, under the exact structural equality of the
-    other per-algebra memos.  Every check (cover surjective and minimal,
-    kernel a genuine module, inclusion intertwining) runs once, for the first
+    other per-algebra memos.  The step's certificate runs once, for the first
     module of its class that is resolved; a hit returns the result already
-    proven for an equal module.  Two threads may race on the same module:
-    both compute and check equal results, and both return the one stored
-    first.
+    proven for an equal module.  The certificate: the cover intertwines the
+    arrows; from one canonical kernel basis per vertex (computed by
+    projective_cover and reused by kernel), the cover is surjective and its
+    kernel is 0 at every trivial-path coordinate of P, so lies in rad P; the
+    kernel basis is injective (identity at its free coordinates) and
+    arrow-stable (one exact equality per arrow).  That is as strong as the
+    rank test against rad P and the Representation and ModuleMap re-checks
+    it replaces, and the syzygy and its inclusion are the same matrices.
+
+    Two threads may race on the same module: both compute and check equal
+    results, and both return the one stored first.
     """
     memo = module.algebra._step_memo
     step = memo.get(module)
     if step is None:
         cov = projective_cover(module)
-        syz, incl = kernel(cov.cover)
+        syz, incl = kernel(cov.cover, cov.kernel_bases)
         step = memo.setdefault(module, (cov, syz, incl))
     return step
 

@@ -21,6 +21,7 @@ idempotent search is the last resort.
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 from dataclasses import dataclass
 
 from .exactla import (
@@ -616,12 +617,68 @@ def _subrepresentation(rep: Representation, cols: list[Matrix],
     return sub_rep, ModuleMap(sub_rep, rep, tuple(cols))
 
 
-def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
-    """The kernel subrepresentation with its canonical inclusion."""
-    fld = f.source.algebra.field
-    cols = [Matrix.from_columns(fld, kernel_basis(m), nrows=f.source.dims[v])
-            for v, m in enumerate(f.vertex_maps)]
-    return _subrepresentation(f.source, cols, "kernel")
+def _free_coordinates(basis) -> list[int]:
+    """The free coordinate of each canonical kernel vector: its last nonzero
+    entry, since a pivot coordinate of the echelon form is nonzero in a
+    kernel vector only when it lies left of the vector's free coordinate.
+    Raises InternalCheckError unless every vector is 1 at its own free
+    coordinate and 0 at the others, the pattern that makes the vectors
+    independent."""
+    free = []
+    for vec in basis:
+        nonzero = [i for i, x in enumerate(vec) if x]
+        if not nonzero:
+            raise InternalCheckError("kernel basis holds a zero vector")
+        free.append(nonzero[-1])
+    for j, vec in enumerate(basis):
+        if any(vec[g] != (1 if i == j else 0) for i, g in enumerate(free)):
+            raise InternalCheckError("kernel basis is not in canonical form")
+    return free
+
+
+def kernel(f: ModuleMap, bases: Sequence | None = None) -> tuple[Representation, ModuleMap]:
+    """The kernel subrepresentation with its canonical inclusion.
+
+    The inclusion at v is K_v, whose columns are the canonical kernel basis
+    of f_v (kernel_basis, or bases[v] when the caller already holds those
+    vectors: projective_cover returns them as CoverResult.kernel_bases).
+    One exact certificate per arrow a: s -> t stands in for re-checking the
+    kernel as a module:
+
+    * the rows F_t of K_t at the free coordinates form the identity
+      (_free_coordinates checks it), so K_t is injective and the kernel's
+      arrow matrix Y_a, the unique solution of K_t Y_a = X_a K_s, can only
+      be the rows F_t of X_a K_s;
+    * the equality K_t Y_a = X_a K_s is then checked exactly.  It is the
+      intertwining equation of the inclusion and proves that ker f_s is
+      mapped into ker f_t by X_a.
+
+    So the inclusion is a genuine module map, and the kernel a genuine
+    module: along every path, X K_i = K_j Y; a relation acts as zero on the
+    source, a checked module, so K_j applied to the relation's action on
+    the kernel is zero, and K_j is injective.  Both are therefore built with
+    the trusted constructors.  Y is the solution express_in_columns would
+    find, so the kernel is the same matrices as a column-space solve gives.
+    """
+    src = f.source
+    alg = src.algebra
+    fld = alg.field
+    if bases is None:
+        bases = [kernel_basis(m) for m in f.vertex_maps]
+    cols = [Matrix._trusted(fld, d, len(b), tuple(vec[i] for i in range(d) for vec in b))
+            for d, b in zip(src.dims, bases)]
+    free = [_free_coordinates(b) for b in bases]
+    mats = []
+    for a, x in zip(alg.quiver.arrows, src.arrow_matrices):
+        moved = x @ cols[a.source]
+        width = moved.cols
+        sub = Matrix._trusted(fld, len(free[a.target]), width, tuple(
+            e for g in free[a.target] for e in moved.entries[g * width:(g + 1) * width]))
+        if (cols[a.target] @ sub).entries != moved.entries:
+            raise InternalCheckError("kernel is not arrow-stable")
+        mats.append(sub)
+    sub_rep = Representation._trusted(alg, tuple(len(b) for b in bases), tuple(mats))
+    return sub_rep, ModuleMap._trusted(sub_rep, src, tuple(cols))
 
 
 def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:
@@ -683,8 +740,9 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     return rep, ModuleMap(f.target, rep, tuple(projs))
 
 
-def radical(rep: Representation) -> tuple[Representation, ModuleMap]:
-    """rad M: at each vertex the sum of the images of the incoming arrows."""
+def _radical_columns(rep: Representation) -> list[Matrix]:
+    """Column bases of rad M, vertex by vertex: at v the canonical basis of
+    the sum of the images of the arrows into v."""
     alg = rep.algebra
     fld = alg.field
     cols = []
@@ -695,13 +753,17 @@ def radical(rep: Representation) -> tuple[Representation, ModuleMap]:
             cols.append(column_space_basis(hstack(incoming)))
         else:
             cols.append(Matrix.zeros(fld, rep.dims[v], 0))
-    return _subrepresentation(rep, cols, "radical")
+    return cols
+
+
+def radical(rep: Representation) -> tuple[Representation, ModuleMap]:
+    """rad M: at each vertex the sum of the images of the incoming arrows."""
+    return _subrepresentation(rep, _radical_columns(rep), "radical")
 
 
 def top_multiplicities(rep: Representation) -> tuple[int, ...]:
     """Multiplicity of each simple in M / rad M."""
-    rad, _ = radical(rep)
-    return tuple(d - r for d, r in zip(rep.dims, rad.dims))
+    return tuple(d - c.cols for d, c in zip(rep.dims, _radical_columns(rep)))
 
 
 @dataclass(frozen=True)
@@ -751,9 +813,13 @@ def _path_actions(rep: Representation):
 
 @dataclass(frozen=True)
 class CoverResult:
+    """A minimal projective cover; kernel_bases[v] is the canonical kernel
+    basis of cover.vertex_maps[v], the vectors its checks were made on."""
+
     projective: Representation
     cover: ModuleMap
     bundle: ProjectiveBundle
+    kernel_bases: tuple[tuple[tuple, ...], ...]
 
 
 def projective_cover(rep: Representation) -> CoverResult:
@@ -761,34 +827,41 @@ def projective_cover(rep: Representation) -> CoverResult:
 
     P is the sum of P(i) with the top multiplicities of M; the map lifts the
     canonical basis of M / rad M (first unit vectors completing rad M in
-    coordinate order).  Surjectivity and minimality (kernel inside rad P)
-    are verified before returning.
+    coordinate order).  Only the column bases of rad M are computed, no
+    radical module.  The cover is checked as a module map (intertwining),
+    and then, from one canonical kernel basis of each vertex map:
+
+    * surjectivity: dim P_v minus the kernel dimension is dim M_v;
+    * minimality, ker P -> M inside rad P: every kernel vector is 0 at the
+      trivial-path coordinates of the bundle.  Relations have length >= 2,
+      so no trivial path is a combination of longer ones, and rad P, the
+      span of the arrow images, is exactly the span of the nontrivial
+      basis paths; a vector lies in rad P iff its trivial-path coordinates
+      vanish.  This is the rank test against rad P without building rad P.
+
+    The kernel bases are returned with the cover, so kernel() reuses them.
     """
     alg = rep.algebra
     fld = alg.field
-    rad_rep, rad_incl = radical(rep)
-    tops = tuple(d - r for d, r in zip(rep.dims, rad_rep.dims))
+    rad_cols = _radical_columns(rep)
+    tops = tuple(d - c.cols for d, c in zip(rep.dims, rad_cols))
     bundle = projective_bundle(alg, tops)
     # generator (v, c) goes to the c-th canonical lift of the top basis at v,
     # a unit vector: column j of path_action(M, p) is the image p . e_j
-    lifts = [_unit_completion(rad_incl.vertex_maps[v], tops[v])
-             for v in range(alg.vertex_count)]
+    lifts = [_unit_completion(rad_cols[v], tops[v]) for v in range(alg.vertex_count)]
     gen_units = [lifts[v][c] for v, c in bundle.summands]
     op = _path_actions(rep)
     cover = ModuleMap(bundle.rep, rep, tuple(
         Matrix.from_columns(fld, [op(path).column(gen_units[s])
                                   for s, path in bundle.vertex_labels[v]], nrows=rep.dims[v])
         for v in range(alg.vertex_count)))
-    if not cover.is_surjective:
-        raise InternalCheckError("projective cover is not surjective")
-    # minimality: kernel of the cover lies in rad P, checked vertexwise
-    prad, prad_incl = radical(bundle.rep)
-    for v in range(alg.vertex_count):
-        kb = kernel_basis(cover.vertex_maps[v])
-        if not kb:
-            continue
-        combined = hstack([prad_incl.vertex_maps[v],
-                           Matrix.from_columns(fld, kb, nrows=bundle.rep.dims[v])])
-        if rank(combined) != prad.dims[v]:
+    kernels = tuple(tuple(kernel_basis(m)) for m in cover.vertex_maps)
+    generators: list[list[int]] = [[] for _ in range(alg.vertex_count)]
+    for v, coord in bundle.generator_coords:
+        generators[v].append(coord)
+    for v, kb in enumerate(kernels):
+        if bundle.rep.dims[v] - len(kb) != rep.dims[v]:
+            raise InternalCheckError("projective cover is not surjective")
+        if any(vec[g] for vec in kb for g in generators[v]):
             raise InternalCheckError("projective cover is not minimal")
-    return CoverResult(bundle.rep, cover, bundle)
+    return CoverResult(bundle.rep, cover, bundle, kernels)

@@ -267,14 +267,34 @@ _CUTOFF_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command,offset",
-                         [(c, off) for c in _CUTOFF_COMMANDS for off in (1, 2)])
-def test_cutoff_below_minimum_is_a_usage_error(capsys, command, offset):
-    minimum, args = _CUTOFF_COMMANDS[command]
+_CORPUS = ["corpus", "--algebra", "builtin:NAK3", "--out", "unused.json"]
+
+_BELOW_MINIMUM = [
+    pytest.param([c, *args, "--cutoff", str(minimum - off)], f"must be >= {minimum}",
+                 id=f"{c}-{off}")
+    for c, (minimum, args) in _CUTOFF_COMMANDS.items() for off in (1, 2)
+] + [
+    pytest.param([c, "--module", "builtin:A2:S1", "--maxlen", "-1"], "must be >= 0",
+                 id=f"{c}-maxlen")
+    for c in ("tilting", "wakamatsu", "ewtc")
+] + [
+    pytest.param(["verify", "--fixtures", "A2", "--maxlen", "-1"], "must be >= 0",
+                 id="verify-maxlen"),
+    pytest.param([*_CORPUS, "--spec", "syzygy-closure"],
+                 "syzygy-closure needs --seed-module", id="corpus-no-seed-module"),
+    pytest.param([*_CORPUS, "--spec", "fixture-indecomposables"],
+                 "fixture-indecomposables needs --fixture", id="corpus-no-fixture"),
+    pytest.param([*_CORPUS, "--spec", "syzygy-closure", "--seed-module", "s.json",
+                  "--depth", "-1"], "must be >= 0", id="corpus-depth"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _BELOW_MINIMUM)
+def test_cutoff_below_minimum_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
-        main([command, *args, "--cutoff", str(minimum - offset)])
+        main(argv)
     assert exc.value.code == 3
-    assert f"must be >= {minimum}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["resolve", "ext", "pd", "gsc"])

@@ -507,3 +507,145 @@ def test_bound_properties_compute_one_onset_per_triple(monkeypatch, corpora):
     assert len(set(computed)) == len(computed)
     assert set(asked) <= set(computed)
     assert len(computed) == len(alg._onset_memo) + len(eb.opposite(alg)._onset_memo)
+
+
+# ----- the per-step resolution certificate ---------------------------------------
+
+
+def _reference_kernel(f):
+    """The kernel as it was built before the per-step certificate: arrow
+    matrices solved with express_in_columns, the result re-checked by the
+    Representation and ModuleMap constructors."""
+    from extbound.exactla import express_in_columns
+    fld = f.source.algebra.field
+    cols = [eb.Matrix.from_columns(fld, eb.kernel_basis(m), nrows=f.source.dims[v])
+            for v, m in enumerate(f.vertex_maps)]
+    mats = []
+    for a, x in zip(f.source.algebra.quiver.arrows, f.source.arrow_matrices):
+        sub = express_in_columns(cols[a.target], x @ cols[a.source])
+        assert sub is not None
+        mats.append(sub)
+    sub_rep = eb.Representation(f.source.algebra, tuple(m.cols for m in cols), tuple(mats))
+    return sub_rep, eb.ModuleMap(sub_rep, f.source, tuple(cols))
+
+
+def _reference_step(module):
+    """The resolution step before the per-step certificate: rad M and rad P
+    built as modules, surjectivity by rank, minimality by the rank test
+    against rad P, and the reference kernel."""
+    from extbound.exactla import hstack
+    from extbound.modules import _path_actions, _unit_completion, projective_bundle
+    alg, fld = module.algebra, module.algebra.field
+    rad, rad_incl = eb.radical(module)
+    tops = tuple(d - r for d, r in zip(module.dims, rad.dims))
+    bundle = projective_bundle(alg, tops)
+    lifts = [_unit_completion(rad_incl.vertex_maps[v], tops[v])
+             for v in range(alg.vertex_count)]
+    gen_units = [lifts[v][c] for v, c in bundle.summands]
+    op = _path_actions(module)
+    cover = eb.ModuleMap(bundle.rep, module, tuple(
+        eb.Matrix.from_columns(fld, [op(path).column(gen_units[s])
+                                     for s, path in bundle.vertex_labels[v]],
+                               nrows=module.dims[v])
+        for v in range(alg.vertex_count)))
+    assert cover.is_surjective
+    syz, incl = _reference_kernel(cover)
+    prad, prad_incl = eb.radical(bundle.rep)
+    for v in range(alg.vertex_count):
+        assert eb.rank(hstack([prad_incl.vertex_maps[v], incl.vertex_maps[v]])) \
+            == prad.dims[v]
+    mult = tuple(sum(1 for w, _ in bundle.summands if w == v)
+                 for v in range(alg.vertex_count))
+    return bundle, cover, syz, incl, mult
+
+
+def _assert_resolution_matches_reference(module, depth):
+    res = eb.minimal_resolution(module, depth)
+    for k, cov in enumerate(res.covers):
+        bundle, cover, syz, incl, mult = _reference_step(res.syzygies[k])
+        assert cov.bundle == bundle and cov.projective == bundle.rep
+        assert cov.cover.vertex_maps == cover.vertex_maps
+        assert res.syzygies[k + 1] == syz
+        assert res.inclusions[k].vertex_maps == incl.vertex_maps
+        assert res.inclusions[k].source is res.syzygies[k + 1]
+        assert res.multiplicities(k) == mult
+
+
+def _quantum_complete_intersection(p, q):
+    field = eb.FieldSpec.prime(p)
+    quiver = eb.Quiver.build(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    rels = (eb.make_relation(field, [(1, quiver.path(["x", "x"]))]),
+            eb.make_relation(field, [(1, quiver.path(["y", "y"]))]),
+            eb.make_relation(field, [(1, quiver.path(["y", "x"])),
+                                     (-q, quiver.path(["x", "y"]))]))
+    return eb.build_algebra(eb.AlgebraPresentation(field, quiver, rels, 3))
+
+
+def test_certified_step_matches_reference_on_fixtures(corpora):
+    for corpus in corpora.values():
+        for _, rep in corpus:
+            for m_mod in (rep, eb.direct_sum([rep, rep])):
+                _assert_resolution_matches_reference(m_mod, 6)
+
+
+@pytest.mark.parametrize("vertices,length", [(8, 5), (7, 3)])
+def test_certified_step_matches_reference_on_nakayama(vertices, length):
+    alg = _cyclic_nakayama(vertices, length)
+    for v in range(vertices):
+        for m_mod in (eb.simple_module(alg, v), eb.projective_module(alg, v)):
+            _assert_resolution_matches_reference(m_mod, 6)
+
+
+def test_certified_step_matches_reference_on_quantum_complete_intersection():
+    alg = _quantum_complete_intersection(101, 7)
+    _assert_resolution_matches_reference(eb.simple_module(alg, 0), 8)
+    m_mod, n_mod = _quantum_exterior_q()  # the same shape over Q
+    for rep in (m_mod, n_mod):
+        _assert_resolution_matches_reference(rep, 6)
+
+
+def test_kernel_of_any_map_matches_reference(corpora):
+    for name in ("A2", "NAK3", "CNAK2"):
+        members = [rep for _, rep in corpora[name]]
+        for source in members:
+            for target in members:
+                for f in eb.hom_basis(source, target):
+                    ker, incl = eb.kernel(f)
+                    ref, ref_incl = _reference_kernel(f)
+                    assert ker == ref and incl.vertex_maps == ref_incl.vertex_maps
+
+
+def test_cover_rejects_a_cover_that_is_not_surjective(monkeypatch, a2):
+    from extbound import modules
+    # every generator at a vertex lifts to the first coordinate there
+    monkeypatch.setattr(modules, "_unit_completion", lambda basis, limit: [0] * limit)
+    s1 = eb.simple_module(a2, 0)
+    with pytest.raises(eb.InternalCheckError, match="not surjective"):
+        eb.projective_cover(eb.direct_sum([s1, s1]))
+
+
+def test_cover_rejects_a_kernel_vector_at_a_generator(monkeypatch, loop2):
+    from extbound import modules
+    honest = modules.kernel_basis
+    # coordinate 0 of the cover of S is the generator of P
+    monkeypatch.setattr(modules, "kernel_basis",
+                        lambda m: [(1,) + vec[1:] for vec in honest(m)])
+    with pytest.raises(eb.InternalCheckError, match="not minimal"):
+        eb.projective_cover(eb.simple_module(loop2, 0))
+
+
+def test_kernel_rejects_a_basis_that_is_not_arrow_stable(monkeypatch, loop2):
+    from extbound import modules
+    p = eb.projective_module(loop2, 0)  # basis e, x: x . e = x leaves span{e}
+    monkeypatch.setattr(modules, "kernel_basis",
+                        lambda m: [tuple(1 if i == 0 else 0 for i in range(m.cols))])
+    with pytest.raises(eb.InternalCheckError, match="not arrow-stable"):
+        eb.kernel(eb.ModuleMap.zero(p, p))
+
+
+def test_kernel_rejects_a_basis_that_is_not_canonical(monkeypatch, loop2):
+    from extbound import modules
+    p = eb.projective_module(loop2, 0)
+    monkeypatch.setattr(modules, "kernel_basis", lambda m: [(1, 0), (1, 0)])
+    with pytest.raises(eb.InternalCheckError, match="not in canonical form"):
+        eb.kernel(eb.ModuleMap.zero(p, p))
