@@ -468,7 +468,8 @@ class Representation:
     @classmethod
     def _trusted(cls, algebra: Algebra, dims: tuple, arrow_matrices: tuple) -> "Representation":
         # bypass the shape and relation re-check for modules that are valid by
-        # construction; the caller states the argument (see modules.kernel)
+        # construction; the caller states the argument (see direct_sum and
+        # modules._subrepresentation)
         obj = object.__new__(cls)
         d = obj.__dict__
         d["algebra"], d["dims"], d["arrow_matrices"] = algebra, dims, arrow_matrices
@@ -509,8 +510,13 @@ def zero_representation(algebra: Algebra) -> Representation:
 
 
 def direct_sum(reps: Sequence[Representation]) -> Representation:
-    """Block-diagonal direct sum, summands in order at every vertex; it runs
-    the relation check (direct_sum_with_maps adds the canonical maps)."""
+    """Block-diagonal direct sum, summands in order at every vertex
+    (direct_sum_with_maps adds the canonical maps).
+
+    The sum is valid by construction and is built without the relation
+    re-check: a path acts on the sum block by block, as it acts on each
+    summand, so a relation acts blockwise too and is zero on the sum
+    because it is zero on every summand, each a Representation already."""
     reps = list(reps)
     if not reps:
         raise ValueError("direct sum of an empty family is ambiguous; pass the algebra instead")
@@ -534,7 +540,7 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
             ro += r.dims[a.target]
             co += r.dims[a.source]
         mats.append(Matrix._trusted(fld, rows_t, cols_s, tuple(block)))
-    return Representation(alg, dims, tuple(mats))
+    return Representation._trusted(alg, dims, tuple(mats))
 
 
 def direct_sum_with_maps(reps: Sequence[Representation]):

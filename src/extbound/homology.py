@@ -26,11 +26,12 @@ re-checking objects that are valid by construction.  One canonical kernel
 basis per vertex of the cover P -> M gives surjectivity (rank), minimality
 (every kernel vector is 0 at the trivial-path coordinates of P, which is
 "kernel inside rad P" because relations have length >= 2), and the syzygy:
-its arrow matrices are read off at the free coordinates of the basis, and
-one equality per arrow, the inclusion's intertwining equation, proves the
-basis arrow-stable.  The syzygy satisfies the relations because the inclusion
-is injective and P is a checked module (modules.projective_cover and
-modules.kernel give the proofs).
+its arrow matrices are read off at the unit coordinates of the basis (its
+free ones), and one equality per arrow, the inclusion's intertwining
+equation, proves the basis arrow-stable.  The syzygy satisfies the relations
+because the inclusion is injective and P is a valid module, a direct sum of
+checked projectives (modules.projective_cover, modules._subrepresentation
+and algebra.direct_sum give the proofs).
 """
 
 from __future__ import annotations

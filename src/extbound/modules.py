@@ -16,6 +16,15 @@ or over GF(p) with p > dim M, the radical of E is the radical of the trace
 form tr_M(xy) (Dickson), and E is local when that radical has codimension
 one.  Only over GF(p), where neither test decides, a bounded exhaustive
 idempotent search is the last resort.
+
+Every submodule (kernel, image, radical, both Fitting parts) is built by one
+function, _subrepresentation, and every quotient by cokernel.  Each proves
+its result with one exact equality per arrow, the intertwining equation of
+its inclusion or projection, and then builds it with the trusted
+constructors instead of re-checking an object that is valid by
+construction; the argument is in each docstring.  The checked constructors
+remain for modules read from files and for simple, projective, zero and
+dual modules.
 """
 
 from __future__ import annotations
@@ -25,8 +34,7 @@ from typing import Sequence
 from dataclasses import dataclass
 
 from .exactla import (
-    Echelon, Matrix, column_space_basis, express_in_columns, hstack, inverse,
-    kernel_basis, rank, solve,
+    Echelon, Matrix, column_space_basis, hstack, inverse, kernel_basis, rank, solve,
 )
 from .algebra import (
     Algebra, Path, Representation, direct_sum, direct_sum_with_maps,
@@ -88,7 +96,7 @@ class ModuleMap:
     def _trusted(cls, source: Representation, target: Representation,
                  vertex_maps: tuple) -> "ModuleMap":
         # bypass the intertwining re-check for maps that are valid by
-        # construction (composites, sums and scalings of valid maps)
+        # construction; the caller states the argument
         obj = object.__new__(cls)
         object.__setattr__(obj, "source", source)
         object.__setattr__(obj, "target", target)
@@ -97,11 +105,13 @@ class ModuleMap:
 
     @classmethod
     def identity(cls, rep: Representation) -> "ModuleMap":
+        # valid: the identity commutes with every arrow matrix
         return cls._trusted(rep, rep, tuple(
             Matrix.identity(rep.algebra.field, d) for d in rep.dims))
 
     @classmethod
     def zero(cls, source: Representation, target: Representation) -> "ModuleMap":
+        # valid: both sides of every intertwining equation are zero
         _same_algebra(source, target)
         fld = source.algebra.field
         return cls._trusted(source, target, tuple(
@@ -109,19 +119,22 @@ class ModuleMap:
             for v in range(source.algebra.vertex_count)))
 
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
-        """Composition self after other."""
+        """Composition self after other; valid, since a composite of
+        intertwining maps intertwines."""
         if other.target != self.source:
             raise ValueError("composition source/target mismatch")
         return ModuleMap._trusted(other.source, self.target, tuple(
             a @ b for a, b in zip(self.vertex_maps, other.vertex_maps)))
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
+        # valid: the intertwining equations are linear in the map
         if self.source != other.source or self.target != other.target:
             raise ValueError("sum of maps with different endpoints")
         return ModuleMap._trusted(self.source, self.target, tuple(
             a + b for a, b in zip(self.vertex_maps, other.vertex_maps)))
 
     def scale(self, c) -> "ModuleMap":
+        # valid: the intertwining equations are linear in the map
         return ModuleMap._trusted(self.source, self.target,
                                   tuple(m.scale(c) for m in self.vertex_maps))
 
@@ -409,34 +422,23 @@ def _fitting_power(f: ModuleMap, total_dim: int) -> ModuleMap:
 
 
 def _split_along(rep, f_power):
-    """Split rep as ker(f^d) + im(f^d); returns None when the split is trivial."""
+    """Split rep as ker(f^d) + im(f^d); returns None when the split is trivial.
+
+    Both parts are submodules (_subrepresentation); the projections onto them
+    along each other are the row blocks of the inverse of [K | I] at every
+    vertex, checked as module maps."""
     fld = rep.algebra.field
-    alg = rep.algebra
-    kcols, icols = [], []
-    for v in range(alg.vertex_count):
-        kb = kernel_basis(f_power.vertex_maps[v])
-        kcols.append(Matrix.from_columns(fld, kb, nrows=rep.dims[v]))
-        icols.append(column_space_basis(f_power.vertex_maps[v]))
+    kcols = [Matrix.from_columns(fld, kernel_basis(m), nrows=d)
+             for m, d in zip(f_power.vertex_maps, rep.dims)]
+    icols = [column_space_basis(m) for m in f_power.vertex_maps]
     kdim = sum(m.cols for m in kcols)
     if kdim == 0 or kdim == rep.total_dim:
         return None
     kpart, kincl = _subrepresentation(rep, kcols, "Fitting part")
     ipart, iincl = _subrepresentation(rep, icols, "Fitting part")
-    projs = []
-    for v in range(alg.vertex_count):
-        u = hstack([kcols[v], icols[v]])
-        uinv = inverse(u)
-        if uinv is None:
-            raise InternalCheckError("Fitting decomposition does not span")
-        kd = kcols[v].cols
-        projs.append((
-            Matrix.from_rows(fld, [uinv.row_list(i) for i in range(kd)])
-            if kd else Matrix.zeros(fld, 0, rep.dims[v]),
-            Matrix.from_rows(fld, [uinv.row_list(i) for i in range(kd, u.rows)])
-            if u.rows - kd else Matrix.zeros(fld, 0, rep.dims[v]),
-        ))
-    kproj = ModuleMap(rep, kpart, tuple(p[0] for p in projs))
-    iproj = ModuleMap(rep, ipart, tuple(p[1] for p in projs))
+    projs = [_projections(k, i, "Fitting decomposition") for k, i in zip(kcols, icols)]
+    kproj = ModuleMap(rep, kpart, tuple(p for p, _ in projs))
+    iproj = ModuleMap(rep, ipart, tuple(p for _, p in projs))
     return (kpart, kincl, kproj), (ipart, iincl, iproj)
 
 
@@ -602,83 +604,78 @@ def decompose(rep: Representation) -> Decomposition:
     return Decomposition(determined, tuple(factors), copies, reason)
 
 
+def _unit_coordinates(cols: Matrix, what: str) -> list[int]:
+    """For each column of cols, the first coordinate where that column is 1
+    and every other column is 0.  A canonical kernel basis has such
+    coordinates (its free ones), and so does a column_space_basis (its
+    pivots).  Raises InternalCheckError when some column has none."""
+    k = cols.cols
+    units: list = [None] * k
+    for i in range(cols.rows):
+        row = cols.entries[i * k:(i + 1) * k]
+        nonzero = [j for j, x in enumerate(row) if x]
+        if len(nonzero) == 1 and row[nonzero[0]] == 1 and units[nonzero[0]] is None:
+            units[nonzero[0]] = i
+    if None in units:
+        raise InternalCheckError(f"{what} basis is not in canonical form")
+    return units
+
+
 def _subrepresentation(rep: Representation, cols: list[Matrix],
                        what: str) -> tuple[Representation, ModuleMap]:
-    """The subrepresentation of rep whose space at each vertex v is spanned by
-    the (independent) columns of cols[v], with its inclusion into rep."""
+    """The subrepresentation of rep whose space at each vertex v is spanned
+    by the columns of K_v = cols[v], with its inclusion into rep.
+
+    Every submodule is built here (kernel, image, radical, Fitting parts),
+    under one exact certificate per arrow a: s -> t instead of re-checking
+    the submodule as a module:
+
+    * the rows U_t of K_t at its unit coordinates form the identity
+      (_unit_coordinates checks it), so K_t is injective and the arrow
+      matrix Y_a, the unique solution of K_t Y_a = X_a K_s, can only be the
+      rows U_t of X_a K_s, whichever unit coordinates are read;
+    * the equality K_t Y_a = X_a K_s is then checked exactly.  It is the
+      intertwining equation of the inclusion and proves that X_a maps the
+      span of K_s into the span of K_t.
+
+    So the inclusion is a valid module map, and the submodule a valid
+    module: along every path, X K_i = K_j Y; a relation acts as zero on rep,
+    a valid module, so K_j applied to the relation's action on the
+    submodule is zero, and K_j is injective.  Both are therefore built with
+    the trusted constructors.
+    """
     alg = rep.algebra
+    fld = alg.field
+    units = [_unit_coordinates(c, what) for c in cols]
     mats = []
     for a, x in zip(alg.quiver.arrows, rep.arrow_matrices):
-        sub = express_in_columns(cols[a.target], x @ cols[a.source])
-        if sub is None:
+        moved = x @ cols[a.source]
+        width = moved.cols
+        sub = Matrix._trusted(fld, len(units[a.target]), width, tuple(
+            e for g in units[a.target] for e in moved.entries[g * width:(g + 1) * width]))
+        if (cols[a.target] @ sub).entries != moved.entries:
             raise InternalCheckError(f"{what} is not arrow-stable")
         mats.append(sub)
-    sub_rep = Representation(alg, tuple(m.cols for m in cols), tuple(mats))
-    return sub_rep, ModuleMap(sub_rep, rep, tuple(cols))
-
-
-def _free_coordinates(basis) -> list[int]:
-    """The free coordinate of each canonical kernel vector: its last nonzero
-    entry, since a pivot coordinate of the echelon form is nonzero in a
-    kernel vector only when it lies left of the vector's free coordinate.
-    Raises InternalCheckError unless every vector is 1 at its own free
-    coordinate and 0 at the others, the pattern that makes the vectors
-    independent."""
-    free = []
-    for vec in basis:
-        nonzero = [i for i, x in enumerate(vec) if x]
-        if not nonzero:
-            raise InternalCheckError("kernel basis holds a zero vector")
-        free.append(nonzero[-1])
-    for j, vec in enumerate(basis):
-        if any(vec[g] != (1 if i == j else 0) for i, g in enumerate(free)):
-            raise InternalCheckError("kernel basis is not in canonical form")
-    return free
+    sub_rep = Representation._trusted(alg, tuple(c.cols for c in cols), tuple(mats))
+    return sub_rep, ModuleMap._trusted(sub_rep, rep, tuple(cols))
 
 
 def kernel(f: ModuleMap, bases: Sequence | None = None) -> tuple[Representation, ModuleMap]:
     """The kernel subrepresentation with its canonical inclusion.
 
-    The inclusion at v is K_v, whose columns are the canonical kernel basis
-    of f_v (kernel_basis, or bases[v] when the caller already holds those
-    vectors: projective_cover returns them as CoverResult.kernel_bases).
-    One exact certificate per arrow a: s -> t stands in for re-checking the
-    kernel as a module:
-
-    * the rows F_t of K_t at the free coordinates form the identity
-      (_free_coordinates checks it), so K_t is injective and the kernel's
-      arrow matrix Y_a, the unique solution of K_t Y_a = X_a K_s, can only
-      be the rows F_t of X_a K_s;
-    * the equality K_t Y_a = X_a K_s is then checked exactly.  It is the
-      intertwining equation of the inclusion and proves that ker f_s is
-      mapped into ker f_t by X_a.
-
-    So the inclusion is a genuine module map, and the kernel a genuine
-    module: along every path, X K_i = K_j Y; a relation acts as zero on the
-    source, a checked module, so K_j applied to the relation's action on
-    the kernel is zero, and K_j is injective.  Both are therefore built with
-    the trusted constructors.  Y is the solution express_in_columns would
-    find, so the kernel is the same matrices as a column-space solve gives.
+    The inclusion at v has as columns the canonical kernel basis of f_v
+    (kernel_basis, or bases[v] when the caller already holds those vectors:
+    projective_cover returns them as CoverResult.kernel_bases); the free
+    coordinates of that basis are its unit coordinates, and
+    _subrepresentation certifies the result.
     """
     src = f.source
-    alg = src.algebra
-    fld = alg.field
+    fld = src.algebra.field
     if bases is None:
         bases = [kernel_basis(m) for m in f.vertex_maps]
-    cols = [Matrix._trusted(fld, d, len(b), tuple(vec[i] for i in range(d) for vec in b))
-            for d, b in zip(src.dims, bases)]
-    free = [_free_coordinates(b) for b in bases]
-    mats = []
-    for a, x in zip(alg.quiver.arrows, src.arrow_matrices):
-        moved = x @ cols[a.source]
-        width = moved.cols
-        sub = Matrix._trusted(fld, len(free[a.target]), width, tuple(
-            e for g in free[a.target] for e in moved.entries[g * width:(g + 1) * width]))
-        if (cols[a.target] @ sub).entries != moved.entries:
-            raise InternalCheckError("kernel is not arrow-stable")
-        mats.append(sub)
-    sub_rep = Representation._trusted(alg, tuple(len(b) for b in bases), tuple(mats))
-    return sub_rep, ModuleMap._trusted(sub_rep, src, tuple(cols))
+    return _subrepresentation(src, [
+        Matrix._trusted(fld, d, len(b), tuple(vec[i] for i in range(d) for vec in b))
+        for d, b in zip(src.dims, bases)], "kernel")
 
 
 def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:
@@ -707,37 +704,54 @@ def _unit_completion(basis: Matrix, limit: int | None = None) -> list[int]:
     return chosen
 
 
+def _projections(first: Matrix, second: Matrix, what: str) -> tuple[Matrix, Matrix]:
+    """The two row blocks of the inverse of [first | second]: the coordinates
+    along the columns of first and along those of second.  Raises
+    InternalCheckError when the columns of both do not form a basis."""
+    inv = inverse(hstack([first, second]))
+    if inv is None:
+        raise InternalCheckError(f"{what} does not span")
+    k, d = first.cols, first.rows
+    return (Matrix._trusted(first.field, k, d, inv.entries[:k * d]),
+            Matrix._trusted(first.field, d - k, d, inv.entries[k * d:]))
+
+
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
-    """The cokernel with its canonical projection from the target."""
+    """The cokernel with its canonical projection from the target.
+
+    At each vertex v, B_v is the canonical basis of im f_v, S_v the unit
+    columns that complete it (_unit_completion), and the projection pi_v the
+    rows of the inverse of [B_v | S_v] below B_v, so pi_v B_v = 0 and
+    pi_v S_v = I.  The arrow matrix is Y_a = pi_t X_a S_s, and one exact
+    equality per arrow a: s -> t, pi_t X_a = Y_a pi_s, the intertwining
+    equation of the projection, is checked.  It makes the quotient valid:
+
+    * well defined: pi_t X_a B_s = Y_a pi_s B_s = 0, so X_a maps im f_s
+      into im f_t = ker pi_t;
+    * a module: along every path, pi_j X = Y pi_i; a relation acts as zero
+      on the target, a valid module, so its action on the cokernel, times
+      pi_i, is zero, and pi_i S_i = I makes that action zero.
+
+    So the cokernel and its projection are built with the trusted
+    constructors.
+    """
     alg = f.target.algebra
     fld = alg.field
-    bases, projs, sections, qdims = [], [], [], []
-    for v in range(alg.vertex_count):
-        b = column_space_basis(f.vertex_maps[v])
-        d = f.target.dims[v]
-        chosen = _unit_completion(b)
-        q = len(chosen)
-        qdims.append(q)
+    projs, sections = [], []
+    for m, d in zip(f.vertex_maps, f.target.dims):
+        b = column_space_basis(m)
         section = Matrix.from_columns(
-            fld, [[fld.one if i == j else fld.zero for i in range(d)] for j in chosen], nrows=d)
-        u = hstack([b, section])
-        uinv = inverse(u)
-        if uinv is None:
-            raise InternalCheckError("cokernel completion is singular")
-        proj = (Matrix.from_rows(fld, [uinv.row_list(i) for i in range(b.cols, d)])
-                if q else Matrix.zeros(fld, 0, d))
-        bases.append(b)
-        projs.append(proj)
+            fld, [[fld.one if i == j else fld.zero for i in range(d)]
+                  for j in _unit_completion(b)], nrows=d)
+        projs.append(_projections(b, section, "cokernel completion")[1])
         sections.append(section)
-    mats = []
-    for a, x in zip(alg.quiver.arrows, f.target.arrow_matrices):
-        induced = projs[a.target] @ x @ sections[a.source]
-        # well-definedness: arrows must send the image into the image
-        if not (projs[a.target] @ x @ bases[a.source]).is_zero:
-            raise InternalCheckError("cokernel is not well defined")
-        mats.append(induced)
-    rep = Representation(alg, tuple(qdims), tuple(mats))
-    return rep, ModuleMap(f.target, rep, tuple(projs))
+    rep = Representation._trusted(alg, tuple(p.rows for p in projs), tuple(
+        projs[a.target] @ x @ sections[a.source]
+        for a, x in zip(alg.quiver.arrows, f.target.arrow_matrices)))
+    proj = ModuleMap._trusted(f.target, rep, tuple(projs))
+    if proj.failing_arrow() is not None:
+        raise InternalCheckError("cokernel is not well defined")
+    return rep, proj
 
 
 def _radical_columns(rep: Representation) -> list[Matrix]:

@@ -512,31 +512,118 @@ def test_bound_properties_compute_one_onset_per_triple(monkeypatch, corpora):
 # ----- the per-step resolution certificate ---------------------------------------
 
 
-def _reference_kernel(f):
-    """The kernel as it was built before the per-step certificate: arrow
+def _reference_subrepresentation(rep, cols):
+    """A submodule as it was built before the per-arrow certificate: arrow
     matrices solved with express_in_columns, the result re-checked by the
     Representation and ModuleMap constructors."""
     from extbound.exactla import express_in_columns
-    fld = f.source.algebra.field
-    cols = [eb.Matrix.from_columns(fld, eb.kernel_basis(m), nrows=f.source.dims[v])
-            for v, m in enumerate(f.vertex_maps)]
     mats = []
-    for a, x in zip(f.source.algebra.quiver.arrows, f.source.arrow_matrices):
+    for a, x in zip(rep.algebra.quiver.arrows, rep.arrow_matrices):
         sub = express_in_columns(cols[a.target], x @ cols[a.source])
         assert sub is not None
         mats.append(sub)
-    sub_rep = eb.Representation(f.source.algebra, tuple(m.cols for m in cols), tuple(mats))
-    return sub_rep, eb.ModuleMap(sub_rep, f.source, tuple(cols))
+    sub_rep = eb.Representation(rep.algebra, tuple(m.cols for m in cols), tuple(mats))
+    return sub_rep, eb.ModuleMap(sub_rep, rep, tuple(cols))
+
+
+def _reference_kernel(f):
+    fld = f.source.algebra.field
+    return _reference_subrepresentation(f.source, [
+        eb.Matrix.from_columns(fld, eb.kernel_basis(m), nrows=f.source.dims[v])
+        for v, m in enumerate(f.vertex_maps)])
+
+
+def _reference_image(f):
+    from extbound.exactla import column_space_basis
+    return _reference_subrepresentation(f.target, [column_space_basis(m)
+                                                   for m in f.vertex_maps])
+
+
+def _reference_radical(rep):
+    """rad M: at v the canonical basis of the sum of the images of the arrows
+    into v."""
+    from extbound.exactla import column_space_basis, hstack
+    fld = rep.algebra.field
+    cols = []
+    for v, d in enumerate(rep.dims):
+        incoming = [x for a, x in zip(rep.algebra.quiver.arrows, rep.arrow_matrices)
+                    if a.target == v and x.cols]
+        cols.append(column_space_basis(hstack(incoming)) if incoming and d
+                    else eb.Matrix.zeros(fld, d, 0))
+    return _reference_subrepresentation(rep, cols)
+
+
+def _reference_cokernel(f):
+    """The cokernel as it was built before the per-arrow certificate: a
+    well-definedness check, then both constructor checks."""
+    from extbound.exactla import Matrix, column_space_basis, hstack, inverse
+    from extbound.modules import _unit_completion
+    alg = f.target.algebra
+    fld = alg.field
+    bases, projs, sections, qdims = [], [], [], []
+    for v in range(alg.vertex_count):
+        b = column_space_basis(f.vertex_maps[v])
+        d = f.target.dims[v]
+        chosen = _unit_completion(b)
+        q = len(chosen)
+        qdims.append(q)
+        section = Matrix.from_columns(
+            fld, [[fld.one if i == j else fld.zero for i in range(d)] for j in chosen], nrows=d)
+        u = hstack([b, section])
+        uinv = inverse(u)
+        if uinv is None:
+            raise eb.InternalCheckError("cokernel completion is singular")
+        proj = (Matrix.from_rows(fld, [uinv.row_list(i) for i in range(b.cols, d)])
+                if q else Matrix.zeros(fld, 0, d))
+        bases.append(b)
+        projs.append(proj)
+        sections.append(section)
+    mats = []
+    for a, x in zip(alg.quiver.arrows, f.target.arrow_matrices):
+        induced = projs[a.target] @ x @ sections[a.source]
+        # well-definedness: arrows must send the image into the image
+        if not (projs[a.target] @ x @ bases[a.source]).is_zero:
+            raise eb.InternalCheckError("cokernel is not well defined")
+        mats.append(induced)
+    rep = eb.Representation(alg, tuple(qdims), tuple(mats))
+    return rep, eb.ModuleMap(f.target, rep, tuple(projs))
+
+
+def _reference_split_along(rep, f_power):
+    """The Fitting split as it was built before the per-arrow certificate:
+    both parts through the reference submodule, the projections sliced from
+    the inverse of [K | I] and checked as module maps."""
+    from extbound.exactla import Matrix, column_space_basis, hstack, inverse
+    fld = rep.algebra.field
+    kcols = [Matrix.from_columns(fld, eb.kernel_basis(m), nrows=d)
+             for m, d in zip(f_power.vertex_maps, rep.dims)]
+    icols = [column_space_basis(m) for m in f_power.vertex_maps]
+    kdim = sum(m.cols for m in kcols)
+    if kdim == 0 or kdim == rep.total_dim:
+        return None
+    kpart, kincl = _reference_subrepresentation(rep, kcols)
+    ipart, iincl = _reference_subrepresentation(rep, icols)
+    kmats, imats = [], []
+    for k, i in zip(kcols, icols):
+        uinv = inverse(hstack([k, i]))
+        assert uinv is not None
+        rows = [uinv.row_list(r) for r in range(uinv.rows)]
+        kmats.append(Matrix.from_rows(fld, rows[:k.cols]) if k.cols
+                     else Matrix.zeros(fld, 0, k.rows))
+        imats.append(Matrix.from_rows(fld, rows[k.cols:]) if i.cols
+                     else Matrix.zeros(fld, 0, k.rows))
+    return ((kpart, kincl, eb.ModuleMap(rep, kpart, tuple(kmats))),
+            (ipart, iincl, eb.ModuleMap(rep, ipart, tuple(imats))))
 
 
 def _reference_step(module):
     """The resolution step before the per-step certificate: rad M and rad P
-    built as modules, surjectivity by rank, minimality by the rank test
-    against rad P, and the reference kernel."""
+    built as modules through the reference, surjectivity by rank, minimality
+    by the rank test against rad P, and the reference kernel."""
     from extbound.exactla import hstack
     from extbound.modules import _path_actions, _unit_completion, projective_bundle
     alg, fld = module.algebra, module.algebra.field
-    rad, rad_incl = eb.radical(module)
+    rad, rad_incl = _reference_radical(module)
     tops = tuple(d - r for d, r in zip(module.dims, rad.dims))
     bundle = projective_bundle(alg, tops)
     lifts = [_unit_completion(rad_incl.vertex_maps[v], tops[v])
@@ -550,7 +637,7 @@ def _reference_step(module):
         for v in range(alg.vertex_count)))
     assert cover.is_surjective
     syz, incl = _reference_kernel(cover)
-    prad, prad_incl = eb.radical(bundle.rep)
+    prad, prad_incl = _reference_radical(bundle.rep)
     for v in range(alg.vertex_count):
         assert eb.rank(hstack([prad_incl.vertex_maps[v], incl.vertex_maps[v]])) \
             == prad.dims[v]
@@ -604,15 +691,86 @@ def test_certified_step_matches_reference_on_quantum_complete_intersection():
         _assert_resolution_matches_reference(rep, 6)
 
 
-def test_kernel_of_any_map_matches_reference(corpora):
-    for name in ("A2", "NAK3", "CNAK2"):
-        members = [rep for _, rep in corpora[name]]
-        for source in members:
-            for target in members:
-                for f in eb.hom_basis(source, target):
-                    ker, incl = eb.kernel(f)
-                    ref, ref_incl = _reference_kernel(f)
-                    assert ker == ref and incl.vertex_maps == ref_incl.vertex_maps
+def test_direct_sums_pass_the_checked_constructor(corpora):
+    # direct_sum skips the relation check; the checked constructor must
+    # accept every sum it builds and give back an equal module
+    sums = [eb.direct_sum([m, n]) for corpus in corpora.values()
+            for _, m in corpus for _, n in corpus]
+    sums += [eb.regular_module(corpus.algebra) for corpus in corpora.values()]
+    resolutions = [eb.minimal_resolution(eb.simple_module(alg, v), 6)
+                   for alg in (_cyclic_nakayama(8, 5), _cyclic_nakayama(7, 3))
+                   for v in range(alg.vertex_count)]
+    resolutions.append(eb.minimal_resolution(
+        eb.simple_module(_quantum_complete_intersection(101, 7), 0), 8))
+    sums += [cov.bundle.rep for res in resolutions for cov in res.covers]
+    assert len(sums) > 100
+    for rep in sums:
+        assert eb.Representation(rep.algebra, rep.dims, rep.arrow_matrices) == rep
+
+
+def _builder_families(corpora):
+    """Lists of modules over one algebra each: the fixture members with their
+    doubles and the regular module, simples, projectives and injectives of
+    NAK(4,3) and NAK(5,2) with the regular module, and Kronecker bands over Q
+    next to the quantum exterior bands over Q."""
+    for corpus in corpora.values():
+        members = [rep for _, rep in corpus]
+        yield members + [eb.direct_sum([m, m]) for m in members] \
+            + [eb.regular_module(corpus.algebra)]
+    for vertices, length in ((4, 3), (5, 2)):
+        alg = _cyclic_nakayama(vertices, length)
+        yield [build(alg, v) for v in range(vertices) for build in
+               (eb.simple_module, eb.projective_module, eb.injective_module)] \
+            + [eb.regular_module(alg)]
+    field = eb.FieldSpec.rationals()
+    quiver = eb.Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    alg = eb.build_algebra(eb.AlgebraPresentation(field, quiver, (), 2))
+    yield [eb.Representation(alg, (2, 2), (eb.Matrix.identity(field, 2),
+                                           eb.Matrix.from_rows(field, second)))
+           for second in ([[0, -1], [1, 0]], [[0, -2], [1, 0]], [[0, 1], [0, 0]])] \
+        + [eb.regular_module(alg)]
+    yield list(_quantum_exterior_q())
+
+
+def _maps_between(source, target):
+    """The canonical Hom basis, then two fixed combinations of it."""
+    basis = eb.hom_basis(source, target)
+    yield from basis
+    if len(basis) > 1:
+        total = basis[0]
+        for k, g in enumerate(basis[1:], start=2):
+            total = total + g.scale(k)
+        yield total
+        yield basis[0] + basis[-1].scale(-1)
+
+
+def _same(built, ref):
+    return built[0] == ref[0] and built[1].source == ref[1].source \
+        and built[1].target == ref[1].target \
+        and built[1].vertex_maps == ref[1].vertex_maps
+
+
+def test_submodule_and_quotient_builders_match_references(corpora):
+    from extbound.modules import _fitting_power, _split_along
+    compared = 0
+    for family in _builder_families(corpora):
+        for source in family:
+            for target in family:
+                for f in _maps_between(source, target):
+                    assert _same(eb.kernel(f), _reference_kernel(f))
+                    assert _same(eb.image(f), _reference_image(f))
+                    assert _same(eb.cokernel(f), _reference_cokernel(f))
+                    compared += 3
+            assert _same(eb.radical(source), _reference_radical(source))
+            for f in eb.end_basis(source):
+                power = _fitting_power(f, source.total_dim)
+                split, ref = _split_along(source, power), _reference_split_along(source, power)
+                assert (split is None) == (ref is None)
+                for part, ref_part in zip(split or (), ref or ()):
+                    assert _same(part[:2], ref_part[:2])
+                    assert part[2].vertex_maps == ref_part[2].vertex_maps
+            compared += 2
+    assert compared > 1000
 
 
 def test_cover_rejects_a_cover_that_is_not_surjective(monkeypatch, a2):
@@ -649,3 +807,42 @@ def test_kernel_rejects_a_basis_that_is_not_canonical(monkeypatch, loop2):
     monkeypatch.setattr(modules, "kernel_basis", lambda m: [(1, 0), (1, 0)])
     with pytest.raises(eb.InternalCheckError, match="not in canonical form"):
         eb.kernel(eb.ModuleMap.zero(p, p))
+
+
+def test_image_rejects_a_basis_that_is_not_canonical(monkeypatch, loop2):
+    from extbound import modules
+    p = eb.projective_module(loop2, 0)
+    # neither column has a coordinate where it alone is 1
+    monkeypatch.setattr(modules, "column_space_basis",
+                        lambda m: eb.Matrix.from_rows(m.field, [[1, 1], [1, 1]]))
+    with pytest.raises(eb.InternalCheckError, match="not in canonical form"):
+        eb.image(eb.ModuleMap.identity(p))
+
+
+def test_radical_rejects_a_basis_that_is_not_arrow_stable(monkeypatch, loop2):
+    from extbound import modules
+    p = eb.projective_module(loop2, 0)  # basis e, x: x . e = x leaves span{e}
+    monkeypatch.setattr(modules, "_radical_columns",
+                        lambda rep: [eb.Matrix.from_rows(rep.algebra.field, [[1], [0]])])
+    with pytest.raises(eb.InternalCheckError, match="not arrow-stable"):
+        eb.radical(p)
+
+
+def test_cokernel_rejects_a_singular_completion(monkeypatch, loop2):
+    from extbound import modules
+    p = eb.projective_module(loop2, 0)
+    # every unit of the completion is e_0
+    monkeypatch.setattr(modules, "_unit_completion",
+                        lambda basis, limit=None: [0] * (basis.rows - basis.cols))
+    with pytest.raises(eb.InternalCheckError, match="does not span"):
+        eb.cokernel(eb.ModuleMap.zero(p, p))
+
+
+def test_cokernel_rejects_a_projection_that_does_not_intertwine(monkeypatch, loop2):
+    from extbound import modules
+    p = eb.projective_module(loop2, 0)
+    # claim im f = span{e}, which x moves to x: the quotient by it is not a module
+    monkeypatch.setattr(modules, "column_space_basis",
+                        lambda m: eb.Matrix.from_rows(m.field, [[1], [0]]))
+    with pytest.raises(eb.InternalCheckError, match="not well defined"):
+        eb.cokernel(eb.ModuleMap.zero(p, p))
