@@ -279,6 +279,7 @@ class Algebra:
         self._resolution_memo: dict = {}
         self._step_memo: dict = {}
         self._ext_memo: dict = {}
+        self._rank_memo: dict = {}
         self._hom_memo: dict = {}
         self._onset_memo: dict = {}
 
@@ -287,12 +288,13 @@ class Algebra:
         return self.quiver.vertex_count
 
     def clear_caches(self) -> None:
-        """Empty the memos of resolutions, resolution steps, Hom bases, Ext
-        tables and vanishing onsets.  They refill on demand with equal
-        values.  The projective, injective and regular modules stay, as the
-        algebra's own modules."""
+        """Empty the memos of resolutions, resolution steps, Hom bases, the
+        (Hom, Ext^1) pairs of Ext tables, the complex route's ranks and
+        vanishing onsets.  They refill on demand with equal values.  The
+        projective, injective and regular modules stay, as the algebra's own
+        modules."""
         for memo in (self._resolution_memo, self._step_memo, self._hom_memo,
-                     self._ext_memo, self._onset_memo):
+                     self._ext_memo, self._rank_memo, self._onset_memo):
             memo.clear()
 
     def multiply_basis(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
@@ -609,10 +611,16 @@ def simple_module(algebra: Algebra, vertex: int) -> Representation:
 
 def dual_module(rep: Representation) -> Representation:
     """The standard duality: same dimension vector over the opposite algebra,
-    every arrow matrix transposed.  Applying it twice gives back the input."""
+    every arrow matrix transposed.  Applying it twice gives back the input.
+
+    The dual is valid by construction and is built without the relation
+    re-check: a reversed path acts on the dual by the transpose of the path's
+    action on the module, so every relation of the opposite algebra, a
+    relation of the algebra with its paths reversed, acts by the transpose of
+    that relation's action, which is zero because the input is a module."""
     op = opposite(rep.algebra)
     mats = tuple(m.transpose() for m in rep.arrow_matrices)
-    return Representation(op, rep.dims, mats)
+    return Representation._trusted(op, rep.dims, mats)
 
 
 def injective_module(algebra: Algebra, vertex: int) -> Representation:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
     Algebra, Representation, direct_sum, dual_module, opposite,
-    regular_module, simple_module,
+    projective_module, regular_module, simple_module,
 )
 from .modules import AlgebraMismatchError, InternalCheckError, in_add_family
 from .homology import (
@@ -210,13 +210,22 @@ def corpus_bounds(corpus: Corpus, cutoff: int) -> CorpusBoundReport:
     gab = BoundValue(glab.exact and grab.exact, glab.value)
     fpd = _finitistic([s[3] for s in stats])
     fid = _finitistic([s[4] for s in stats])
-    if corpus.members:
-        contains_regular = in_add_family(regular_module(corpus.algebra),
-                                         [rep for _, rep in corpus]).member
-    else:
-        contains_regular = False
     return CorpusBoundReport(cutoff, tuple(stats), glab, grab, gab, fpd, fid,
-                             flab=glab, frab=grab, contains_regular=contains_regular)
+                             flab=glab, frab=grab,
+                             contains_regular=_contains_regular(corpus))
+
+
+def _contains_regular(corpus: Corpus) -> bool:
+    """Whether the regular module lies in add of a nonempty corpus.
+
+    A is the sum of the projectives P_v, and add C is closed under finite
+    sums and summands, so A lies in add C exactly when every P_v does.  Each
+    P_v gets its own small in_add_family test, whose witness is verified
+    there."""
+    parts = [rep for _, rep in corpus]
+    alg = corpus.algebra
+    return bool(parts) and all(in_add_family(projective_module(alg, v), parts).member
+                               for v in range(alg.vertex_count))
 
 
 # ----- verifier for the regular-module onset formula --------------------------
@@ -239,8 +248,7 @@ def check_regular_onset_formula(module: Representation, corpus: Corpus,
     against the regular module."""
     return _regular_onset_outcome(
         module, corpus, cutoff, left_bound(module, corpus, cutoff),
-        lambda: in_add_family(regular_module(corpus.algebra),
-                              [rep for _, rep in corpus]).member)
+        lambda: _contains_regular(corpus))
 
 
 def _regular_onset_outcome(module: Representation, corpus: Corpus, cutoff: int,

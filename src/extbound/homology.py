@@ -18,8 +18,13 @@ steps are shared too: the projective cover of a module and the kernel of that
 cover are computed once per distinct module per algebra (_resolution_step),
 so every resolution that reaches a module, say the one of its syzygy or of a
 module it is a syzygy of, reuses the same cover, syzygy and inclusion.
-Vanishing onsets are memoized per algebra as well, one OnsetResult per
-(M, N, cutoff), so a bound grid that meets a pair again reads its decision.
+Ext tables are read along the syzygies: since the resolution of syzygy i-1
+of M is the tail of M's, Ext^i(M, N) = Ext^1(syzygy i-1, N) is read from one
+cross-checked (Hom, Ext^1) pair per (syzygy, N), memoized per algebra, so
+larger cutoffs and shifted first arguments recompute nothing.  The complex
+route's ranks are memoized per (syzygy, N) as well.  Vanishing onsets are
+memoized per algebra too, one OnsetResult per (M, N, cutoff), so a bound grid
+that meets a pair again reads its decision.
 
 Each resolution step is proven by one exact certificate instead of
 re-checking objects that are valid by construction.  One canonical kernel
@@ -247,17 +252,26 @@ def _induced_matrix(res: MinimalResolution, n_mod: Representation, k: int, op) -
 
 def ext_dims_via_complex(m_mod: Representation, n_mod: Representation,
                          cutoff: int) -> list[int]:
-    """Ext dimensions as cohomology of Hom(P_*, N)."""
+    """Ext dimensions as cohomology of Hom(P_*, N).
+
+    The rank of the map induced by d_k depends only on syzygy k-1 of M, whose
+    resolution step and the next one give P_{k-1}, P_k and d_k, and on N.  It
+    is memoized per algebra under that pair, so the resolution of a syzygy of
+    M, which shares M's steps, reads the same ranks."""
     res = minimal_resolution(m_mod, cutoff + 1)
+    memo = m_mod.algebra._rank_memo
     op = _path_actions(n_mod)
     space = [sum(mult * n_mod.dims[v] for v, mult in enumerate(res.multiplicities(k)))
              for k in range(cutoff + 2)]
     ranks = [0] * (cutoff + 2)
     for k in range(1, cutoff + 2):
         if space[k] == 0 or space[k - 1] == 0:
-            ranks[k] = 0
-        else:
-            ranks[k] = rank(_induced_matrix(res, n_mod, k, op))
+            continue
+        key = (res.syzygy(k - 1), n_mod)
+        r = memo.get(key)
+        if r is None:
+            r = memo.setdefault(key, rank(_induced_matrix(res, n_mod, k, op)))
+        ranks[k] = r
     dims = []
     for i in range(cutoff + 1):
         d = space[i] - ranks[i + 1] - (ranks[i] if i >= 1 else 0)
@@ -295,23 +309,42 @@ def ext_dims_via_stable(m_mod: Representation, n_mod: Representation,
 
 
 def ext_table(m_mod: Representation, n_mod: Representation, cutoff: int) -> ExtTable:
-    """dim Ext^i(M, N) for i <= cutoff, cross-checked between the two
-    independent computations; a mismatch is a hard internal error."""
+    """dim Ext^i(M, N) for i <= cutoff, read along the syzygies of M.
+
+    Resolution steps are shared, so the resolution of X = syzygy i-1 of M is
+    the tail of M's, and Ext^i(M, N) = Ext^1(X, N) for i >= 1.  The table is
+    dim Hom(M, N) followed by dim Ext^1(syzygy i-1, N) for i = 1..cutoff, each
+    read from one cross-checked (Hom, Ext^1) pair per (syzygy, N)
+    (_ext_pair).  A larger cutoff, or a syzygy of M as first argument, reuses
+    every pair already stored."""
     if m_mod.algebra is not n_mod.algebra:
         raise AlgebraMismatchError("ext_table arguments over different algebras")
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    memo = m_mod.algebra._ext_memo
-    hit = memo.get((m_mod, n_mod))
-    if hit is not None and hit[0] >= cutoff:
-        return ExtTable(tuple(hit[1][:cutoff + 1]), cutoff)
-    via_complex = ext_dims_via_complex(m_mod, n_mod, cutoff)
-    via_stable = ext_dims_via_stable(m_mod, n_mod, cutoff)
-    if via_complex != via_stable:
-        raise InternalCheckError(
-            f"Ext oracle disagreement: complex {via_complex} vs stable {via_stable}")
-    memo[(m_mod, n_mod)] = (cutoff, via_complex)
-    return ExtTable(tuple(via_complex), cutoff)
+    res = minimal_resolution(m_mod, cutoff - 2)  # stores syzygies 0..cutoff-1
+    pairs = [_ext_pair(res.syzygy(j), n_mod) for j in range(max(cutoff, 1))]
+    return ExtTable((pairs[0][0],) + tuple(ext1 for _, ext1 in pairs[:cutoff]), cutoff)
+
+
+def _ext_pair(x_mod: Representation, n_mod: Representation) -> tuple[int, int]:
+    """(dim Hom(X, N), dim Ext^1(X, N)), computed by both independent routes
+    at cutoff 1; a mismatch is a hard internal error.
+
+    The pair is memoized per algebra under the key (X, N), with the
+    structural equality of the other memos; racing threads both compute and
+    check, and both return the pair stored first."""
+    memo = x_mod.algebra._ext_memo
+    key = (x_mod, n_mod)
+    pair = memo.get(key)
+    if pair is None:
+        via_complex = ext_dims_via_complex(x_mod, n_mod, 1)
+        via_stable = ext_dims_via_stable(x_mod, n_mod, 1)
+        if via_complex != via_stable:
+            raise InternalCheckError(
+                f"Ext oracle disagreement on a module of dimension vector {x_mod.dims}: "
+                f"complex {via_complex} vs stable {via_stable}")
+        pair = memo.setdefault(key, tuple(via_complex))
+    return pair
 
 
 # ----- projective/injective dimension and periodicity ------------------------

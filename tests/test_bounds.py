@@ -179,3 +179,24 @@ def test_regular_onset_statement_counts_the_applicable_members(corpora):
             assert statement.detail == f"{applicable} applicable members"
             assert statement.status == ("fail" if any(o.status == "fail" for o in outcomes)
                                         else "pass")
+
+
+def test_regular_module_answer_is_the_whole_module_scan(corpora):
+    from extbound.bounds import _contains_regular
+    from test_homology import _cyclic_nakayama
+    corpora = list(corpora.values())
+    for vertices, length in ((8, 5), (7, 3)):
+        alg = _cyclic_nakayama(vertices, length)
+        corpora.append(Corpus(alg, tuple(
+            (f"{kind}{v}", build(alg, v)) for kind, build in
+            (("S", eb.simple_module), ("P", eb.projective_module)) for v in range(vertices))))
+    answers = []
+    for corpus in corpora:
+        members = corpus.members
+        for part in (members, members[:len(members) // 2], members[1:], members[:-1]):
+            sub = Corpus(corpus.algebra, part)
+            expected = eb.in_add_family(eb.regular_module(sub.algebra),
+                                        [rep for _, rep in part]).member
+            assert _contains_regular(sub) == expected
+            answers.append(expected)
+    assert True in answers and False in answers

@@ -333,6 +333,74 @@ def test_ext_table_rejects_route_disagreement(monkeypatch, nak3):
         eb.ext_table(eb.direct_sum([s1, s2, s2, s1]), s1, 3)
 
 
+# ----- Ext tables read along the syzygies ---------------------------------------
+
+
+def _assert_walk_matches_full_tables(alg, mods, depth=8):
+    """ext_table against the full-table routes, computed with cold memos, and
+    reached with a low cutoff before a high one and the other way round."""
+    for m_mod in mods:
+        alg.clear_caches()
+        full = {}
+        for n_mod in mods:
+            full[n_mod] = eb.ext_dims_via_complex(m_mod, n_mod, depth)
+            assert eb.ext_dims_via_stable(m_mod, n_mod, depth) == full[n_mod]
+        for cutoffs in ((3, depth), (depth, 3)):
+            alg.clear_caches()
+            for n_mod in mods:
+                for c in cutoffs:
+                    assert eb.ext_table(m_mod, n_mod, c).dims == tuple(full[n_mod][:c + 1])
+
+
+def test_ext_table_matches_full_tables_on_fixtures(corpora):
+    for corpus in corpora.values():
+        _assert_walk_matches_full_tables(corpus.algebra, [rep for _, rep in corpus])
+
+
+def test_ext_table_matches_full_tables_on_nakayama():
+    alg = _cyclic_nakayama(7, 3)
+    _assert_walk_matches_full_tables(
+        alg, [build(alg, v) for build in (eb.simple_module, eb.projective_module)
+              for v in range(7)])
+
+
+def test_shifted_table_recomputes_no_pair(monkeypatch):
+    from extbound import homology
+    calls = []
+    honest = homology.ext_dims_via_complex
+
+    def counting(m_mod, n_mod, cutoff):
+        calls.append((m_mod, n_mod, cutoff))
+        return honest(m_mod, n_mod, cutoff)
+    monkeypatch.setattr(homology, "ext_dims_via_complex", counting)
+    alg = _cyclic_nakayama(7, 3)
+    alg.clear_caches()
+    m_mod, n_mod = eb.simple_module(alg, 0), eb.simple_module(alg, 3)
+    first = eb.ext_table(m_mod, n_mod, 8).dims
+    res = eb.minimal_resolution(m_mod, 8)
+    # one cutoff-1 computation per distinct (syzygy, N)
+    assert len(set(calls)) == len(calls)
+    assert set(calls) == {(res.syzygy(j), n_mod, 1) for j in range(8)}
+    done = len(calls)
+    assert eb.ext_table(eb.syzygy(m_mod, 1), n_mod, 7).dims[1:] == first[2:]
+    assert len(calls) == done
+
+
+def test_ext_table_rejects_disagreement_on_a_syzygy(monkeypatch):
+    from extbound import homology
+    alg = _cyclic_nakayama(7, 3)
+    alg.clear_caches()
+    m_mod, n_mod = eb.simple_module(alg, 1), eb.simple_module(alg, 4)
+    bad = eb.syzygy(m_mod, 3)
+    honest = homology.ext_dims_via_stable
+    monkeypatch.setattr(homology, "ext_dims_via_stable",
+                        lambda m, n, c: [d + (m == bad) for d in honest(m, n, c)])
+    assert all(eb.syzygy(m_mod, j) != bad for j in range(3))
+    eb.ext_table(m_mod, n_mod, 3)  # syzygies 0..2 only
+    with pytest.raises(eb.InternalCheckError, match="disagreement"):
+        eb.ext_table(m_mod, n_mod, 4)
+
+
 # ----- resolution steps shared per algebra -----------------------------------
 
 
@@ -397,29 +465,34 @@ def test_clear_caches_empties_the_memos_and_keeps_results(corpora):
     corpus = corpora["CNAK2"]
     alg = corpus.algebra
     s1, s2 = corpus.get("S1"), eb.simple_module(alg, 1)
-    projectives = dict(alg._projectives)
     before = (eb.ext_table(s1, s2, 6).dims, eb.projective_dimension(s1, 6),
-              len(eb.hom_basis(s1, eb.regular_module(alg))), eb.vanishing_onset(s1, s2, 6))
-    regular = alg._regular
+              len(eb.hom_basis(s1, eb.regular_module(alg))), eb.vanishing_onset(s1, s2, 6),
+              eb.ext_table(s1, eb.regular_module(alg), 6).dims)
+    projectives, regular = dict(alg._projectives), alg._regular
+    memos = (alg._resolution_memo, alg._step_memo, alg._hom_memo, alg._ext_memo,
+             alg._rank_memo, alg._onset_memo)
+    assert all(memos)
     alg.clear_caches()
-    for memo in (alg._resolution_memo, alg._step_memo, alg._hom_memo, alg._ext_memo,
-                 alg._onset_memo):
+    for memo in memos:
         assert memo == {}
     assert alg._projectives == projectives and alg._regular is regular
     after = (eb.ext_table(s1, s2, 6).dims, eb.projective_dimension(s1, 6),
-             len(eb.hom_basis(s1, eb.regular_module(alg))), eb.vanishing_onset(s1, s2, 6))
+             len(eb.hom_basis(s1, eb.regular_module(alg))), eb.vanishing_onset(s1, s2, 6),
+             eb.ext_table(s1, eb.regular_module(alg), 6).dims)
     assert after == before
 
 
 def test_racing_threads_share_one_step_per_module():
     import sys
     import threading
+    from extbound.homology import _ext_pair
     alg = _cyclic_nakayama(6, 4)
     alg.clear_caches()
     simples = [eb.simple_module(alg, v) for v in range(6)]
     # each thread resolves its own (unmemoized) copies, so only steps are shared
     results: list = []
     onsets: list = []
+    pairs: list = []
 
     def work():
         for s in simples:
@@ -429,6 +502,7 @@ def test_racing_threads_share_one_step_per_module():
         for s in simples:
             for t in simples:
                 onsets.append(((s, t, 8), eb.vanishing_onset(s, t, 8)))
+                pairs.append(((s, t), _ext_pair(s, t)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -447,6 +521,9 @@ def test_racing_threads_share_one_step_per_module():
     assert len(onsets) == 4 * len(simples) ** 2
     for key, onset in onsets:
         assert onset is alg._onset_memo[key]
+    assert len(pairs) == 4 * len(simples) ** 2
+    for key, pair in pairs:
+        assert pair is alg._ext_memo[key]
 
 
 # ----- per-module hash and per-triple onset memo ---------------------------------
@@ -706,6 +783,22 @@ def test_direct_sums_pass_the_checked_constructor(corpora):
     assert len(sums) > 100
     for rep in sums:
         assert eb.Representation(rep.algebra, rep.dims, rep.arrow_matrices) == rep
+
+
+def test_duals_pass_the_checked_constructor(corpora):
+    # dual_module skips the relation check; the checked constructor must
+    # accept every dual it builds and give back an equal module
+    mods = [rep for corpus in corpora.values() for _, rep in corpus]
+    for alg in (_cyclic_nakayama(8, 5), _cyclic_nakayama(7, 3)):
+        mods += [build(alg, v) for v in range(alg.vertex_count) for build in
+                 (eb.simple_module, eb.projective_module, eb.injective_module)]
+    res = eb.minimal_resolution(eb.simple_module(_quantum_complete_intersection(101, 7), 0), 8)
+    mods += res.syzygies[:9]
+    assert len(mods) > 60
+    for rep in mods:
+        dual = eb.dual_module(rep)
+        assert eb.Representation(dual.algebra, dual.dims, dual.arrow_matrices) == dual
+        assert eb.dual_module(dual) == rep
 
 
 def _builder_families(corpora):

@@ -15,6 +15,7 @@ TRUSTED_CLASSES = {"Representation", "ModuleMap"}
 
 ALLOWED = {
     ("algebra.py", "direct_sum"),
+    ("algebra.py", "dual_module"),
     ("modules.py", "_subrepresentation"),
     ("modules.py", "cokernel"),
     ("modules.py", "identity"),
