@@ -1,30 +1,27 @@
 """Minimal projective resolutions, Ext tables and certified vanishing.
 
-Every Ext dimension is computed twice, by two independent routes:
+Every Ext value is computed twice, by two independent routes, each defined
+on one module X as the pair (dim Hom(X, N), dim Ext^1(X, N)):
 
-* cohomology of the complex Hom(P_*, N), using the vertexwise identification
-  Hom(P(i), N) = N_i through the resolution's generator bookkeeping;
-* dimension shifting along the short exact sequences of the resolution,
-  which needs only the dimensions of Hom(syzygy, N) and of Hom(P_k, N), and
-  no map at all.
+* _complex_pair: cohomology of Hom(P_*, N) in degrees 0 and 1, using the
+  vertexwise identification Hom(P(i), N) = N_i through the covers'
+  generator bookkeeping;
+* _stable_pair: dimension shifting along 0 -> syzygy -> P_0 -> X -> 0, from
+  the dimensions of Hom spaces alone, with no map at all.
 
-A disagreement raises InternalCheckError, it is never suppressed.  Claims
-about all sufficiently large degrees are made only under a certificate: a
-terminated resolution or a verified syzygy periodicity.  Cutoffs alone never
-turn into "for all large degrees" statements.
+A disagreement raises InternalCheckError, it is never suppressed.  Every Ext
+table is one walk along the syzygies of M (_ext_walk), since Ext^i(M, N) =
+Ext^1(syzygy i-1 of M, N) for i >= 1: ext_dims_via_complex and
+ext_dims_via_stable walk with one route each, ext_table with both, compared
+per (syzygy, N) (_ext_pair).  The walk advances by _resolution_step, the
+projective cover of a module and the kernel of that cover, computed once per
+distinct module per algebra.  MinimalResolution objects hold the same steps
+for pd, periodicity and the CLI; no Ext value reads one.  The pairs, the
+complex route's ranks and the vanishing onsets are memoized per algebra.
 
-Resolutions are memoized per algebra and extended incrementally.  Their
-steps are shared too: the projective cover of a module and the kernel of that
-cover are computed once per distinct module per algebra (_resolution_step),
-so every resolution that reaches a module, say the one of its syzygy or of a
-module it is a syzygy of, reuses the same cover, syzygy and inclusion.
-Ext tables are read along the syzygies: since the resolution of syzygy i-1
-of M is the tail of M's, Ext^i(M, N) = Ext^1(syzygy i-1, N) is read from one
-cross-checked (Hom, Ext^1) pair per (syzygy, N), memoized per algebra, so
-larger cutoffs and shifted first arguments recompute nothing.  The complex
-route's ranks are memoized per (syzygy, N) as well.  Vanishing onsets are
-memoized per algebra too, one OnsetResult per (M, N, cutoff), so a bound grid
-that meets a pair again reads its decision.
+Claims about all sufficiently large degrees are made only under a
+certificate: a terminated resolution or a verified syzygy periodicity.
+Cutoffs alone never turn into "for all large degrees" statements.
 
 Each resolution step is proven by one exact certificate instead of
 re-checking objects that are valid by construction.  One canonical kernel
@@ -43,6 +40,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .exactla import Matrix, rank
 from .algebra import Representation, dual_module, regular_module
@@ -56,8 +54,9 @@ class MinimalResolution:
     """An incrementally extendable minimal projective resolution.
 
     After extend(k) the terms P_0..P_k, the syzygies up to index k+1 and the
-    differentials d_1..d_k are available (or the resolution has terminated
-    earlier).  Extension is guarded by a lock; published data is immutable.
+    inclusions of syzygy j+1 into P_j for j <= k are available (or the
+    resolution has terminated earlier).  Extension is guarded by a lock;
+    published data is immutable.
 
     Past the computed end, the accessors of a terminated resolution give zero
     terms and its stored zero syzygy; those of an unterminated one raise
@@ -79,7 +78,6 @@ class MinimalResolution:
         self._multiplicities: list[tuple[int, ...]] = []  # summand counts of P_k
         # least k with syzygy k zero, once reached
         self.terminated_at: int | None = 0 if module.is_zero else None
-        self._differentials: dict[int, ModuleMap] = {}
         self._periodicity_searched = -1
         self._periodicity: "PeriodicityCertificate | None" = None
         self._lock = threading.Lock()
@@ -134,15 +132,6 @@ class MinimalResolution:
             raise ValueError(f"{what} {k} is past the resolution, which is computed "
                              f"through degree {self.length} and has not terminated")
         return False
-
-    def differential(self, k: int) -> ModuleMap:
-        """d_k: P_k -> P_{k-1}, the cover of syzygy k followed by inclusion."""
-        if k < 1 or k >= len(self.covers):
-            raise ValueError(f"differential {k} not computed")
-        d = self._differentials.get(k)
-        if d is None:
-            d = self._differentials[k] = self.inclusions[k - 1] @ self.covers[k].cover
-        return d
 
 
 def _resolution_step(module: Representation) -> tuple[CoverResult, Representation, ModuleMap]:
@@ -215,120 +204,124 @@ class ExtTable:
         return "\n".join(lines) + "\n"
 
 
-def _induced_matrix(res: MinimalResolution, n_mod: Representation, k: int, op) -> Matrix:
-    """Matrix of precomposition with d_k: Hom(P_{k-1}, N) -> Hom(P_k, N)."""
-    alg = res.algebra
-    fld = alg.field
-    dom = res.bundle(k - 1)
-    cod = res.bundle(k)
-    dom_sizes = [n_mod.dims[v] for v, _ in dom.summands]
-    cod_sizes = [n_mod.dims[v] for v, _ in cod.summands]
-    dom_off = [0]
-    for s in dom_sizes:
-        dom_off.append(dom_off[-1] + s)
-    cod_off = [0]
-    for s in cod_sizes:
-        cod_off.append(cod_off[-1] + s)
-    rows = [[fld.zero] * dom_off[-1] for _ in range(cod_off[-1])]
-    if k < 1 or k >= len(res.covers) or cod_off[-1] == 0 or dom_off[-1] == 0:
-        return Matrix.from_rows(fld, rows) if rows else Matrix.zeros(fld, 0, dom_off[-1])
-    diff = res.differential(k)
-    for s, (vs, _) in enumerate(cod.summands):
-        gi = cod.generator_coords[s][1]
-        column = diff.vertex_maps[vs].column(gi)
-        for coord, coef in enumerate(column):
-            if coef == 0:
-                continue
-            t, path = dom.vertex_labels[vs][coord]
-            block = op(path)  # N_{source summand vertex} -> N_{vs}
-            for r in range(block.rows):
-                for c in range(block.cols):
-                    val = block.entry(r, c)
-                    if val != 0:
-                        rows[cod_off[s] + r][dom_off[t] + c] = fld.add(
-                            rows[cod_off[s] + r][dom_off[t] + c], fld.mul(coef, val))
-    return Matrix.from_rows(fld, rows) if rows else Matrix.zeros(fld, 0, dom_off[-1])
+def _precomposition_rank(y_mod: Representation, n_mod: Representation, op) -> int:
+    """Rank of Hom(P_0, N) -> Hom(P_1, N), precomposition with d_1, the cover
+    of the syzygy of Y followed by its inclusion into the cover P_0 of Y.
+
+    Hom(P(v), N) = N_v through the generator, so the generator of a summand
+    of P_1 contributes coef * op(path), the action of the path on N, for
+    each basis path of P_0 in its image.  P_0 and P_1 must be nonzero.
+    Memoized per algebra under (Y, N)."""
+    memo = y_mod.algebra._rank_memo
+    key = (y_mod, n_mod)
+    r = memo.get(key)
+    if r is None:
+        fld = y_mod.algebra.field
+        cov, om, incl = _resolution_step(y_mod)
+        nxt = _resolution_step(om)[0]
+        dom, cod = cov.bundle, nxt.bundle
+        diff = incl @ nxt.cover
+        dom_off = [0, *accumulate(n_mod.dims[v] for v, _ in dom.summands)]
+        cod_off = [0, *accumulate(n_mod.dims[v] for v, _ in cod.summands)]
+        rows = [[fld.zero] * dom_off[-1] for _ in range(cod_off[-1])]
+        for s, (vs, _) in enumerate(cod.summands):
+            column = diff.vertex_maps[vs].column(cod.generator_coords[s][1])
+            for coord, coef in enumerate(column):
+                if coef == 0:
+                    continue
+                t, path = dom.vertex_labels[vs][coord]
+                block = op(path)  # N_{source summand vertex} -> N_{vs}
+                for i in range(block.rows):
+                    for j in range(block.cols):
+                        val = block.entry(i, j)
+                        if val != 0:
+                            row = rows[cod_off[s] + i]
+                            row[dom_off[t] + j] = fld.add(row[dom_off[t] + j], fld.mul(coef, val))
+        r = memo.setdefault(key, rank(Matrix.from_rows(fld, rows)))
+    return r
+
+
+def _complex_pair(x_mod: Representation, n_mod: Representation) -> tuple[int, int]:
+    """(dim Hom(X, N), dim Ext^1(X, N)) = (c_0 - r_1, c_1 - r_2 - r_1), the
+    cohomology of Hom(P_*, N) in degrees 0 and 1, where c_k = dim Hom(P_k, N)
+    and r_k is the rank of precomposition with d_k.  It reads the steps of X
+    and of its syzygy and the cover of the second syzygy, nothing else."""
+    op = _path_actions(n_mod)
+    syz, covs = [x_mod], []
+    while len(covs) < 3 and not syz[-1].is_zero:
+        cov, om, _ = _resolution_step(syz[-1])
+        covs.append(cov)
+        syz.append(om)
+    space = [sum(n_mod.dims[v] for v, _ in cov.bundle.summands) for cov in covs]
+    space += [0] * (3 - len(covs))
+    r1, r2 = (_precomposition_rank(syz[k - 1], n_mod, op) if space[k - 1] and space[k] else 0
+              for k in (1, 2))
+    hom, ext1 = space[0] - r1, space[1] - r2 - r1
+    if hom < 0 or ext1 < 0:
+        raise InternalCheckError("negative cohomology dimension")
+    return hom, ext1
+
+
+def _stable_pair(x_mod: Representation, n_mod: Representation) -> tuple[int, int]:
+    """(dim Hom(X, N), dim Ext^1(X, N)) by dimension shifting.
+
+    Hom(-, N) turns 0 -> syzygy -> P_0 -> X -> 0 into the exact sequence
+    0 -> Hom(X, N) -> Hom(P_0, N) -> Hom(syzygy, N) -> Ext^1(X, N) -> 0, so
+    dim Ext^1(X, N) = h(syzygy) - p_0 + h(X), with h(Y) = dim Hom(Y, N) from
+    hom_basis and p_0 the sum of dim N_v over the summands P(v) of P_0.  No
+    map of the resolution is read, so this route shares no map-level code
+    with the complex route."""
+    cov, om, _ = _resolution_step(x_mod)
+    h = len(hom_basis(x_mod, n_mod))
+    h_om = 0 if om.is_zero else len(hom_basis(om, n_mod))
+    return h, h_om - sum(n_mod.dims[v] for v, _ in cov.bundle.summands) + h
+
+
+def _ext_walk(m_mod: Representation, n_mod: Representation, cutoff: int, pair) -> list[int]:
+    """dim Hom(M, N), then dim Ext^1(syzygy i-1 of M, N) = dim Ext^i(M, N)
+    for i = 1..cutoff, from one pair(X, N) = (dim Hom, dim Ext^1) per
+    syzygy X; past a zero syzygy every entry is 0."""
+    if m_mod.algebra is not n_mod.algebra:
+        raise AlgebraMismatchError("Ext arguments over different algebras")
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    dims: list[int] = []
+    x_mod = m_mod
+    for i in range(max(cutoff, 1)):
+        if i:
+            x_mod = _resolution_step(x_mod)[1]
+        if x_mod.is_zero:
+            break
+        hom, ext1 = pair(x_mod, n_mod)
+        dims.extend((ext1,) if i else (hom, ext1))
+    dims += [0] * (cutoff + 1 - len(dims))
+    return dims[:cutoff + 1]
 
 
 def ext_dims_via_complex(m_mod: Representation, n_mod: Representation,
                          cutoff: int) -> list[int]:
-    """Ext dimensions as cohomology of Hom(P_*, N).
-
-    The rank of the map induced by d_k depends only on syzygy k-1 of M, whose
-    resolution step and the next one give P_{k-1}, P_k and d_k, and on N.  It
-    is memoized per algebra under that pair, so the resolution of a syzygy of
-    M, which shares M's steps, reads the same ranks."""
-    res = minimal_resolution(m_mod, cutoff + 1)
-    memo = m_mod.algebra._rank_memo
-    op = _path_actions(n_mod)
-    space = [sum(mult * n_mod.dims[v] for v, mult in enumerate(res.multiplicities(k)))
-             for k in range(cutoff + 2)]
-    ranks = [0] * (cutoff + 2)
-    for k in range(1, cutoff + 2):
-        if space[k] == 0 or space[k - 1] == 0:
-            continue
-        key = (res.syzygy(k - 1), n_mod)
-        r = memo.get(key)
-        if r is None:
-            r = memo.setdefault(key, rank(_induced_matrix(res, n_mod, k, op)))
-        ranks[k] = r
-    dims = []
-    for i in range(cutoff + 1):
-        d = space[i] - ranks[i + 1] - (ranks[i] if i >= 1 else 0)
-        if d < 0:
-            raise InternalCheckError("negative cohomology dimension")
-        dims.append(d)
-    return dims
+    """Ext dimensions as cohomology of Hom(P_*, N), syzygy by syzygy."""
+    return _ext_walk(m_mod, n_mod, cutoff, _complex_pair)
 
 
 def ext_dims_via_stable(m_mod: Representation, n_mod: Representation,
                         cutoff: int) -> list[int]:
-    """Ext dimensions by dimension shifting, from hom-space dimensions alone.
-
-    Hom(-, N) turns 0 -> syzygy i -> P_{i-1} -> syzygy i-1 -> 0 into the exact
-    sequence 0 -> Hom(syzygy i-1, N) -> Hom(P_{i-1}, N) -> Hom(syzygy i, N)
-    -> Ext^1(syzygy i-1, N) -> 0, and Ext^1(syzygy i-1, N) = Ext^i(M, N)
-    for i >= 1.  With h_i = dim Hom(syzygy i, N) and p_{i-1} = dim
-    Hom(P_{i-1}, N), the sum of mult_v(P_{i-1}) dim N_v over the vertices v,
-
-        dim Ext^i(M, N) = h_i - p_{i-1} + h_{i-1}.
-
-    No map is built and no differential or inclusion is read, so this route
-    shares no map-level code with ext_dims_via_complex.
-    """
-    res = minimal_resolution(m_mod, cutoff)
-    homs = []
-    for i in range(cutoff + 1):
-        syz = res.syzygy(i)
-        homs.append(0 if syz.is_zero else len(hom_basis(syz, n_mod)))
-    dims = [homs[0]]
-    for i in range(1, cutoff + 1):
-        p = sum(mult * n_mod.dims[v] for v, mult in enumerate(res.multiplicities(i - 1)))
-        dims.append(homs[i] - p + homs[i - 1])
-    return dims
+    """Ext dimensions by dimension shifting, from Hom dimensions alone."""
+    return _ext_walk(m_mod, n_mod, cutoff, _stable_pair)
 
 
 def ext_table(m_mod: Representation, n_mod: Representation, cutoff: int) -> ExtTable:
-    """dim Ext^i(M, N) for i <= cutoff, read along the syzygies of M.
-
-    Resolution steps are shared, so the resolution of X = syzygy i-1 of M is
-    the tail of M's, and Ext^i(M, N) = Ext^1(X, N) for i >= 1.  The table is
-    dim Hom(M, N) followed by dim Ext^1(syzygy i-1, N) for i = 1..cutoff, each
-    read from one cross-checked (Hom, Ext^1) pair per (syzygy, N)
-    (_ext_pair).  A larger cutoff, or a syzygy of M as first argument, reuses
-    every pair already stored."""
-    if m_mod.algebra is not n_mod.algebra:
-        raise AlgebraMismatchError("ext_table arguments over different algebras")
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    res = minimal_resolution(m_mod, cutoff - 2)  # stores syzygies 0..cutoff-1
-    pairs = [_ext_pair(res.syzygy(j), n_mod) for j in range(max(cutoff, 1))]
-    return ExtTable((pairs[0][0],) + tuple(ext1 for _, ext1 in pairs[:cutoff]), cutoff)
+    """dim Ext^i(M, N) for i <= cutoff, from one cross-checked pair per
+    (syzygy, N) (_ext_pair); a larger cutoff, or a syzygy of M as first
+    argument, reuses every pair already stored."""
+    return ExtTable(tuple(_ext_walk(m_mod, n_mod, cutoff, _ext_pair)), cutoff)
 
 
 def _ext_pair(x_mod: Representation, n_mod: Representation) -> tuple[int, int]:
     """(dim Hom(X, N), dim Ext^1(X, N)), computed by both independent routes
-    at cutoff 1; a mismatch is a hard internal error.
+    at cutoff 1; a mismatch is a hard internal error.  The routes are called
+    through the module's full-table functions, so a replacement of either
+    name is the route that gets compared.
 
     The pair is memoized per algebra under the key (X, N), with the
     structural equality of the other memos; racing threads both compute and

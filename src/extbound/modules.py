@@ -22,9 +22,11 @@ function, _subrepresentation, and every quotient by cokernel.  Each proves
 its result with one exact equality per arrow, the intertwining equation of
 its inclusion or projection, and then builds it with the trusted
 constructors instead of re-checking an object that is valid by
-construction; the argument is in each docstring.  The checked constructors
-remain for modules read from files and for simple, projective, zero and
-dual modules.
+construction; the argument is in each docstring.  Hom bases (solutions of
+the intertwining system) and projective covers (a -> a . m on each
+summand) are built the same way.  The checked constructors remain for
+modules read from files, for simple, projective and zero modules, and for
+the canonical maps of direct sums and the Fitting projections.
 """
 
 from __future__ import annotations
@@ -163,7 +165,9 @@ def hom_basis(source: Representation, target: Representation) -> list[ModuleMap]
 
     Solves the intertwining system f_t X_a = X'_a f_s exactly; the basis is
     the canonical kernel basis of that system, hence deterministic.  Bases
-    are memoized per algebra (they are immutable).
+    are memoized per algebra (they are immutable).  Each basis map is valid
+    and built without the intertwining re-check: it solves the system, whose
+    rows are the intertwining equations, entry by entry.
     """
     alg = _same_algebra(source, target)
     cached = alg._hom_memo.get((source, target))
@@ -197,7 +201,7 @@ def hom_basis(source: Representation, target: Representation) -> list[ModuleMap]
         for v in range(alg.vertex_count):
             seg = vec[offsets[v]:offsets[v] + sizes[v]]
             mats.append(Matrix(fld, target.dims[v], source.dims[v], tuple(seg)))
-        maps.append(ModuleMap(source, target, tuple(mats)))
+        maps.append(ModuleMap._trusted(source, target, tuple(mats)))
     alg._hom_memo[(source, target)] = tuple(maps)
     return maps
 
@@ -842,8 +846,10 @@ def projective_cover(rep: Representation) -> CoverResult:
     P is the sum of P(i) with the top multiplicities of M; the map lifts the
     canonical basis of M / rad M (first unit vectors completing rad M in
     coordinate order).  Only the column bases of rad M are computed, no
-    radical module.  The cover is checked as a module map (intertwining),
-    and then, from one canonical kernel basis of each vertex map:
+    radical module.  The cover is valid and built without the intertwining
+    re-check: on a summand whose generator lifts to m it sends each basis
+    path p to p . m, which is A-linear because M is a module.  Then, from one
+    canonical kernel basis of each vertex map:
 
     * surjectivity: dim P_v minus the kernel dimension is dim M_v;
     * minimality, ker P -> M inside rad P: every kernel vector is 0 at the
@@ -865,7 +871,7 @@ def projective_cover(rep: Representation) -> CoverResult:
     lifts = [_unit_completion(rad_cols[v], tops[v]) for v in range(alg.vertex_count)]
     gen_units = [lifts[v][c] for v, c in bundle.summands]
     op = _path_actions(rep)
-    cover = ModuleMap(bundle.rep, rep, tuple(
+    cover = ModuleMap._trusted(bundle.rep, rep, tuple(
         Matrix.from_columns(fld, [op(path).column(gen_units[s])
                                   for s, path in bundle.vertex_labels[v]], nrows=rep.dims[v])
         for v in range(alg.vertex_count)))

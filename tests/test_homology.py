@@ -72,10 +72,13 @@ def test_resolution_exactness(nak3):
     # im d_{k+1} = ker d_k, by rank arithmetic at every vertex
     from extbound.exactla import rank
     res = eb.minimal_resolution(eb.simple_module(nak3, 0), 2)
+
+    def differential(k):  # d_k: P_k -> P_{k-1}, the cover of syzygy k, then its inclusion
+        return res.inclusions[k - 1] @ res.covers[k].cover
     for k in range(1, 3):
-        d_k = res.differential(k)
+        d_k = differential(k)
         if k + 1 < len(res.covers):
-            comp = d_k @ res.differential(k + 1)
+            comp = d_k @ differential(k + 1)
             assert comp.is_zero
         for v in range(nak3.vertex_count):
             ker_dim = d_k.source.dims[v] - rank(d_k.vertex_maps[v])
@@ -336,20 +339,69 @@ def test_ext_table_rejects_route_disagreement(monkeypatch, nak3):
 # ----- Ext tables read along the syzygies ---------------------------------------
 
 
+def _induced_matrix(res, n_mod, k, op):
+    """Matrix of precomposition with d_k: Hom(P_{k-1}, N) -> Hom(P_k, N),
+    with d_k composed from M's resolution as the cover of syzygy k followed
+    by its inclusion into P_{k-1}."""
+    fld = res.algebra.field
+    dom, cod = res.bundle(k - 1), res.bundle(k)
+    dom_off, cod_off = [0], [0]
+    for v, _ in dom.summands:
+        dom_off.append(dom_off[-1] + n_mod.dims[v])
+    for v, _ in cod.summands:
+        cod_off.append(cod_off[-1] + n_mod.dims[v])
+    rows = [[fld.zero] * dom_off[-1] for _ in range(cod_off[-1])]
+    diff = res.inclusions[k - 1] @ res.covers[k].cover
+    for s, (vs, _) in enumerate(cod.summands):
+        column = diff.vertex_maps[vs].column(cod.generator_coords[s][1])
+        for coord, coef in enumerate(column):
+            if coef == 0:
+                continue
+            t, path = dom.vertex_labels[vs][coord]
+            block = op(path)
+            for r in range(block.rows):
+                for c in range(block.cols):
+                    val = block.entry(r, c)
+                    if val != 0:
+                        rows[cod_off[s] + r][dom_off[t] + c] = fld.add(
+                            rows[cod_off[s] + r][dom_off[t] + c], fld.mul(coef, val))
+    return eb.Matrix.from_rows(fld, rows)
+
+
+def _reference_complex_table(m_mod, n_mod, cutoff):
+    """The complex route over M's whole minimal resolution, as it was before
+    each route was defined on one syzygy: dim Ext^i = c_i - r_{i+1} - r_i,
+    with c_k = dim Hom(P_k, N) and r_k the rank of precomposition with d_k."""
+    from extbound.modules import _path_actions
+    res = eb.minimal_resolution(m_mod, cutoff + 1)
+    op = _path_actions(n_mod)
+    space = [sum(mult * n_mod.dims[v] for v, mult in enumerate(res.multiplicities(k)))
+             for k in range(cutoff + 2)]
+    ranks = [eb.rank(_induced_matrix(res, n_mod, k, op)) if k and space[k] and space[k - 1]
+             else 0 for k in range(cutoff + 2)]
+    dims = [space[i] - ranks[i + 1] - ranks[i] for i in range(cutoff + 1)]
+    assert min(dims) >= 0
+    return dims
+
+
 def _assert_walk_matches_full_tables(alg, mods, depth=8):
-    """ext_table against the full-table routes, computed with cold memos, and
-    reached with a low cutoff before a high one and the other way round."""
+    """ext_table and both full-table routes against the resolution-based
+    reference, computed with cold memos; ext_table is reached with a low
+    cutoff before a high one and the other way round, and builds no
+    MinimalResolution."""
     for m_mod in mods:
         alg.clear_caches()
-        full = {}
+        full = {n_mod: _reference_complex_table(m_mod, n_mod, depth) for n_mod in mods}
+        alg.clear_caches()
         for n_mod in mods:
-            full[n_mod] = eb.ext_dims_via_complex(m_mod, n_mod, depth)
+            assert eb.ext_dims_via_complex(m_mod, n_mod, depth) == full[n_mod]
             assert eb.ext_dims_via_stable(m_mod, n_mod, depth) == full[n_mod]
         for cutoffs in ((3, depth), (depth, 3)):
             alg.clear_caches()
             for n_mod in mods:
                 for c in cutoffs:
                     assert eb.ext_table(m_mod, n_mod, c).dims == tuple(full[n_mod][:c + 1])
+            assert alg._resolution_memo == {}
 
 
 def test_ext_table_matches_full_tables_on_fixtures(corpora):
@@ -362,6 +414,27 @@ def test_ext_table_matches_full_tables_on_nakayama():
     _assert_walk_matches_full_tables(
         alg, [build(alg, v) for build in (eb.simple_module, eb.projective_module)
               for v in range(7)])
+
+
+def test_ext_table_matches_full_tables_on_quantum_complete_intersection():
+    alg = _quantum_complete_intersection(101, 7)
+    _assert_walk_matches_full_tables(alg, [eb.simple_module(alg, 0)], depth=14)
+
+
+def test_ext_routes_reject_arguments_over_different_algebras(a2, nak3, loop2):
+    s = eb.simple_module(a2, 0)
+    for route in (eb.ext_dims_via_complex, eb.ext_dims_via_stable, eb.ext_table):
+        for other in (nak3, loop2):
+            with pytest.raises(eb.AlgebraMismatchError):
+                route(s, eb.simple_module(other, 0), 2)
+
+
+def test_full_table_routes_reject_negative_cutoff(nak3):
+    s = eb.simple_module(nak3, 0)
+    for route in (eb.ext_dims_via_complex, eb.ext_dims_via_stable):
+        with pytest.raises(ValueError, match="cutoff"):
+            route(s, s, -1)
+        assert route(s, s, 0) == [1]
 
 
 def test_shifted_table_recomputes_no_pair(monkeypatch):
@@ -799,6 +872,27 @@ def test_duals_pass_the_checked_constructor(corpora):
         dual = eb.dual_module(rep)
         assert eb.Representation(dual.algebra, dual.dims, dual.arrow_matrices) == dual
         assert eb.dual_module(dual) == rep
+
+
+def test_covers_and_hom_bases_pass_the_checked_constructor(corpora):
+    # projective_cover and hom_basis skip the intertwining check; the checked
+    # constructor must accept every map they build
+    families = [[rep for _, rep in corpus] for corpus in corpora.values()]
+    for alg in (_cyclic_nakayama(8, 5), _cyclic_nakayama(7, 3)):
+        families.append([build(alg, v) for v in range(alg.vertex_count) for build in
+                         (eb.simple_module, eb.projective_module, eb.injective_module)])
+    res = eb.minimal_resolution(eb.simple_module(_quantum_complete_intersection(101, 7), 0), 8)
+    families.append(res.syzygies[:9])
+    maps = []
+    for mods in families:
+        for m_mod in mods:
+            maps.append(eb.projective_cover(m_mod).cover)
+            for n_mod in mods:
+                maps.extend(eb.hom_basis(m_mod, n_mod))
+    assert len(maps) > 1000
+    for f in maps:
+        checked = eb.ModuleMap(f.source, f.target, f.vertex_maps)
+        assert checked.vertex_maps == f.vertex_maps
 
 
 def _builder_families(corpora):

@@ -16,6 +16,8 @@ TRUSTED_CLASSES = {"Representation", "ModuleMap"}
 ALLOWED = {
     ("algebra.py", "direct_sum"),
     ("algebra.py", "dual_module"),
+    ("modules.py", "hom_basis"),
+    ("modules.py", "projective_cover"),
     ("modules.py", "_subrepresentation"),
     ("modules.py", "cokernel"),
     ("modules.py", "identity"),
