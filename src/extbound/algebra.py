@@ -276,11 +276,11 @@ class Algebra:
         self._projectives: dict[int, "Representation"] = {}
         self._injectives: dict[int, "Representation"] = {}
         self._regular: "Representation | None" = None
-        self._resolution_memo: dict = {}
         self._step_memo: dict = {}
         self._ext_memo: dict = {}
         self._rank_memo: dict = {}
         self._hom_memo: dict = {}
+        self._pd_memo: dict = {}
         self._onset_memo: dict = {}
 
     @property
@@ -288,13 +288,14 @@ class Algebra:
         return self.quiver.vertex_count
 
     def clear_caches(self) -> None:
-        """Empty the memos of resolutions, resolution steps, Hom bases, the
-        (Hom, Ext^1) pairs of Ext tables, the complex route's ranks and
-        vanishing onsets.  They refill on demand with equal values.  The
-        projective, injective and regular modules stay, as the algebra's own
-        modules."""
-        for memo in (self._resolution_memo, self._step_memo, self._hom_memo,
-                     self._ext_memo, self._rank_memo, self._onset_memo):
+        """Empty the memos of resolution steps (the only store of resolutions;
+        each MinimalResolution is a per-call walk of it), Hom bases, the
+        (Hom, Ext^1) pairs of Ext tables, the complex route's ranks,
+        projective dimensions per (module, cutoff) and vanishing onsets.
+        They refill on demand with equal values.  The projective, injective
+        and regular modules stay, as the algebra's own modules."""
+        for memo in (self._step_memo, self._hom_memo, self._ext_memo,
+                     self._rank_memo, self._pd_memo, self._onset_memo):
             memo.clear()
 
     def multiply_basis(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:

@@ -21,7 +21,7 @@ from .modules import AlgebraMismatchError, InternalCheckError, in_add_family
 from .homology import (
     OnsetResult, PdAtLeast, PdFinite, PdResult, cosyzygy, ext_table,
     injective_dimension, minimal_resolution, onset_against_regular,
-    projective_dimension, vanishing_onset,
+    projective_dimension, syzygy, vanishing_onset,
 )
 
 
@@ -407,6 +407,32 @@ class PropertyReport:
                 "statements": [s.to_json() for s in self.statements]}
 
 
+def _shift_drops_onset(corpus: Corpus, grid: dict, cutoff: int,
+                       contravariant: bool) -> tuple[bool, str]:
+    """(ok, detail) of a shift statement: shifting each nonzero member M one
+    step (its syzygy in the first argument, or its cosyzygy in the second
+    when contravariant) keeps every certified status and drops a vanishing
+    onset by one, floored at zero."""
+    ok, checked = True, 0
+    for mn, m_mod in corpus:
+        if m_mod.is_zero:
+            continue
+        moved = cosyzygy(m_mod, 1) if contravariant else syzygy(m_mod, 1)
+        for nn, n_mod in corpus:
+            if contravariant:
+                base, shifted = grid[(nn, mn)], vanishing_onset(n_mod, moved, cutoff)
+            else:
+                base, shifted = grid[(mn, nn)], vanishing_onset(moved, n_mod, cutoff)
+            if not (base.certified and shifted.certified):
+                continue
+            checked += 1
+            if base.status != shifted.status and not moved.is_zero:
+                ok = False
+            elif base.status == "vanishes" and shifted.status == "vanishes":
+                ok = ok and shifted.onset == max(base.onset - 1, 0)
+    return ok, f"{checked} certified pairs"
+
+
 def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     """Check the bound identities and inequalities over the corpus.
 
@@ -468,41 +494,10 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     emit("two-out-of-three-on-cover-sequences", failures == 0,
          f"{checked} certified triples")
 
-    # syzygy shift: onset drops by one (floored at zero) and membership agrees
-    ok, checked = True, 0
-    for mn, m_mod in corpus:
-        if m_mod.is_zero:
-            continue
-        om = minimal_resolution(m_mod, 1).syzygy(1)
-        for nn, n_mod in corpus:
-            base = grid[(mn, nn)]
-            shifted = vanishing_onset(om, n_mod, cutoff)
-            if not (base.certified and shifted.certified):
-                continue
-            checked += 1
-            if base.status != shifted.status and not om.is_zero:
-                ok = False
-            elif base.status == "vanishes" and shifted.status == "vanishes":
-                ok = ok and shifted.onset == max(base.onset - 1, 0)
-    emit("syzygy-shifts-onset", ok, f"{checked} certified pairs")
-
-    # cosyzygy shift on the contravariant side
-    ok, checked = True, 0
-    for mn, m_mod in corpus:
-        if m_mod.is_zero:
-            continue
-        cos = cosyzygy(m_mod, 1)
-        for nn, n_mod in corpus:
-            base = grid[(nn, mn)]
-            shifted = vanishing_onset(n_mod, cos, cutoff)
-            if not (base.certified and shifted.certified):
-                continue
-            checked += 1
-            if base.status != shifted.status and not cos.is_zero:
-                ok = False
-            elif base.status == "vanishes" and shifted.status == "vanishes":
-                ok = ok and shifted.onset == max(base.onset - 1, 0)
-    emit("cosyzygy-shifts-onset", ok, f"{checked} certified pairs")
+    # syzygy shift: onset drops by one (floored at zero) and membership
+    # agrees; the cosyzygy shift is the same on the contravariant side
+    emit("syzygy-shifts-onset", *_shift_drops_onset(corpus, grid, cutoff, False))
+    emit("cosyzygy-shifts-onset", *_shift_drops_onset(corpus, grid, cutoff, True))
 
     # duality transfers Ext dimensions and onsets
     dcorp = dual_corpus(corpus)
@@ -561,12 +556,12 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
         ok = True
         witness_strict = n == 0
         for name, rep in corpus:
-            syz = minimal_resolution(rep, max(n, 1)).syzygy(n)
+            syz = syzygy(rep, n)
             syz_lab = left_bound(syz, corpus, cutoff)
             if syz_lab.exact and syz_lab.value != 0:
                 ok = False
             if n >= 1:
-                prev = minimal_resolution(rep, n).syzygy(n - 1)
+                prev = syzygy(rep, n - 1)
                 prev_lab = left_bound(prev, corpus, cutoff)
                 if prev_lab.exact and prev_lab.value > 0:
                     witness_strict = True

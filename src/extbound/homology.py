@@ -15,9 +15,10 @@ Ext^1(syzygy i-1 of M, N) for i >= 1: ext_dims_via_complex and
 ext_dims_via_stable walk with one route each, ext_table with both, compared
 per (syzygy, N) (_ext_pair).  The walk advances by _resolution_step, the
 projective cover of a module and the kernel of that cover, computed once per
-distinct module per algebra.  MinimalResolution objects hold the same steps
-for pd, periodicity and the CLI; no Ext value reads one.  The pairs, the
-complex route's ranks and the vanishing onsets are memoized per algebra.
+distinct module per algebra, the only store of resolution steps: a
+MinimalResolution (pd, periodicity, the CLI) is a per-call walk of them, and
+no Ext value reads one.  The pairs, the complex route's ranks, pd per
+(module, cutoff) and the vanishing onsets are memoized per algebra.
 
 Claims about all sufficiently large degrees are made only under a
 certificate: a terminated resolution or a verified syzygy periodicity.
@@ -63,10 +64,10 @@ class MinimalResolution:
     ValueError, since the terms there are unknown, not zero.  A negative
     degree raises ValueError.
 
-    Each step (cover, syzygy, inclusion) comes from _resolution_step, which
-    shares it with every other resolution over the same algebra that reaches
-    an equal module: the resolution of syzygy 1 holds the very cover objects
-    of this one from degree 1 on.
+    Each step (cover, syzygy, inclusion) is a reference into the algebra's
+    step memo (_resolution_step), its one store of steps; minimal_resolution
+    builds a new walk per call, and the resolution of syzygy 1 holds the very
+    cover objects of this one from degree 1 on.
     """
 
     def __init__(self, module: Representation):
@@ -78,8 +79,6 @@ class MinimalResolution:
         self._multiplicities: list[tuple[int, ...]] = []  # summand counts of P_k
         # least k with syzygy k zero, once reached
         self.terminated_at: int | None = 0 if module.is_zero else None
-        self._periodicity_searched = -1
-        self._periodicity: "PeriodicityCertificate | None" = None
         self._lock = threading.Lock()
 
     @property
@@ -163,21 +162,20 @@ def _resolution_step(module: Representation) -> tuple[CoverResult, Representatio
 
 
 def minimal_resolution(module: Representation, cutoff: int) -> MinimalResolution:
-    """Memoized minimal resolution of the module, extended through cutoff."""
-    memo = module.algebra._resolution_memo
-    res = memo.get(module)
-    if res is None:
-        res = memo[module] = MinimalResolution(module)
+    """A new minimal resolution of the module, extended through cutoff."""
+    res = MinimalResolution(module)
     res.extend(cutoff)
     return res
 
 
 def syzygy(rep: Representation, m: int) -> Representation:
     """The m-th syzygy along minimal projective covers (m = 0 gives M back),
-    read from the memoized minimal resolution."""
+    m memoized steps away; past a zero syzygy it stays that zero module."""
     if m < 0:
         raise ValueError("syzygy exponent must be >= 0")
-    return minimal_resolution(rep, m - 1).syzygy(m)  # stored once P_{m-1} is
+    while m and not rep.is_zero:
+        rep, m = _resolution_step(rep)[1], m - 1
+    return rep
 
 
 def cosyzygy(rep: Representation, m: int) -> Representation:
@@ -210,7 +208,9 @@ def _precomposition_rank(y_mod: Representation, n_mod: Representation, op) -> in
 
     Hom(P(v), N) = N_v through the generator, so the generator of a summand
     of P_1 contributes coef * op(path), the action of the path on N, for
-    each basis path of P_0 in its image.  P_0 and P_1 must be nonzero.
+    each basis path of P_0 in its image.  The cover sends the generator to
+    a unit vector e_g (projective_cover lifts the top to unit vectors), so
+    that image is column g of the inclusion.  P_0 and P_1 must be nonzero.
     Memoized per algebra under (Y, N)."""
     memo = y_mod.algebra._rank_memo
     key = (y_mod, n_mod)
@@ -220,12 +220,12 @@ def _precomposition_rank(y_mod: Representation, n_mod: Representation, op) -> in
         cov, om, incl = _resolution_step(y_mod)
         nxt = _resolution_step(om)[0]
         dom, cod = cov.bundle, nxt.bundle
-        diff = incl @ nxt.cover
         dom_off = [0, *accumulate(n_mod.dims[v] for v, _ in dom.summands)]
         cod_off = [0, *accumulate(n_mod.dims[v] for v, _ in cod.summands)]
         rows = [[fld.zero] * dom_off[-1] for _ in range(cod_off[-1])]
         for s, (vs, _) in enumerate(cod.summands):
-            column = diff.vertex_maps[vs].column(cod.generator_coords[s][1])
+            unit = nxt.cover.vertex_maps[vs].column(cod.generator_coords[s][1])
+            column = incl.vertex_maps[vs].column(unit.index(fld.one))
             for coord, coef in enumerate(column):
                 if coef == 0:
                     continue
@@ -406,16 +406,12 @@ class PeriodicityCertificate:
 def periodicity_certificate(module: Representation,
                             cutoff: int) -> PeriodicityCertificate | None:
     """First certified syzygy recurrence in lexicographic (preperiod, period)
-    order, or None (terminated resolutions never count as periodic)."""
+    order among syzygies 0..cutoff, or None (terminated resolutions never
+    count as periodic).  Nothing is cached between calls."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     res = minimal_resolution(module, cutoff)
-    cached = res._periodicity
-    if cached is not None and cached.preperiod + cached.period <= cutoff:
-        return cached
     if res.terminated:
-        return None
-    if cached is None and res._periodicity_searched >= cutoff:
         return None
     skipped: list[tuple[int, int]] = []
     for a in range(cutoff):
@@ -425,12 +421,9 @@ def periodicity_certificate(module: Representation,
                 continue
             iso = is_isomorphic(sa, sb)
             if iso.status == "iso":
-                cert = PeriodicityCertificate(a, b - a, iso.witness, tuple(skipped))
-                res._periodicity = cert
-                return cert
+                return PeriodicityCertificate(a, b - a, iso.witness, tuple(skipped))
             if iso.status == "undetermined":
                 skipped.append((a, b))
-    res._periodicity_searched = cutoff
     return None
 
 
@@ -438,9 +431,19 @@ def projective_dimension(module: Representation, cutoff: int) -> PdResult:
     """Finite(m) from a terminated resolution, PeriodicInfinite from a
     certified syzygy recurrence, otherwise AtLeast(cutoff).
 
-    The zero module reports Finite(-1)."""
+    The zero module reports Finite(-1).  Memoized per algebra under the key
+    (module, cutoff), like vanishing_onset."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    memo = module.algebra._pd_memo
+    key = (module, cutoff)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo.setdefault(key, _decide_pd(module, cutoff))
+    return hit
+
+
+def _decide_pd(module: Representation, cutoff: int) -> PdResult:
     res = minimal_resolution(module, cutoff + 1)
     t = res.terminated_at
     if t is not None and t - 1 <= cutoff:

@@ -33,14 +33,14 @@ def test_resolution_of_projective(corpora):
 
 
 def test_resolution_extends_incrementally(loop2):
-    # a fresh structural module, so the session-wide memo starts cold here
     s = eb.simple_module(loop2, 0)
-    fresh = eb.direct_sum([s, s, s])
-    res1 = eb.minimal_resolution(fresh, 2)
-    depth1 = len(res1.covers)
-    res2 = eb.minimal_resolution(fresh, 5)
-    assert res2 is res1
-    assert len(res2.covers) > depth1 >= 3
+    res = eb.minimal_resolution(eb.direct_sum([s, s, s]), 2)
+    first = list(res.covers)
+    res.extend(5)
+    assert len(res.covers) > len(first) >= 3
+    assert all(a is b for a, b in zip(res.covers, first))
+    for j, cov in enumerate(res.covers):
+        assert cov is loop2._step_memo[res.syzygies[j]][0]
 
 
 def test_unterminated_resolution_past_end_raises(loop2):
@@ -169,6 +169,38 @@ def test_periodicity_certificate_json_reports_undetermined_pairs(loop2):
     assert [tuple(pair) for pair in data["undetermined_pairs"]] == list(cert.undetermined_pairs)
     found = eb.periodicity_certificate(s1, 10)
     assert found.undetermined_pairs == () and "undetermined_pairs" not in found.to_json()
+
+
+def test_periodicity_certificate_is_independent_of_call_history(monkeypatch, cnak2, corpora):
+    # with every isomorphism test against syzygy 0 undetermined, the first
+    # certificate skips (0, 2), (0, 4), ... up to the cutoff; a search at
+    # one cutoff must not leak into the answer at another
+    from extbound import homology
+    from extbound.modules import IsoResult
+    s1 = corpora["CNAK2"].get("S1")
+    honest = homology.is_isomorphic
+
+    def blind_at_zero(m, n):
+        return IsoResult("undetermined", reason="blinded") if m == s1 else honest(m, n)
+
+    def cert_json(cutoff):
+        return eb.projective_dimension(s1, cutoff).certificate.to_json()
+    monkeypatch.setattr(homology, "is_isomorphic", blind_at_zero)
+    try:
+        cold = {}
+        for c in (3, 10):
+            cnak2.clear_caches()
+            cold[c] = cert_json(c)
+        assert cold[3]["undetermined_pairs"] == [[0, 2]]
+        assert cold[10]["undetermined_pairs"] == [[0, b] for b in (2, 4, 6, 8, 10)]
+        for c, other in ((3, 10), (10, 3)):
+            cnak2.clear_caches()
+            cert_json(other)
+            assert cert_json(c) == cold[c]
+            cnak2.clear_caches()
+            assert cert_json(c) == cold[c]
+    finally:
+        cnak2.clear_caches()  # drop the results computed under the blinded test
 
 
 def test_periodicity_implies_periodic_ext(cnak2, corpora):
@@ -396,12 +428,17 @@ def _assert_walk_matches_full_tables(alg, mods, depth=8):
         for n_mod in mods:
             assert eb.ext_dims_via_complex(m_mod, n_mod, depth) == full[n_mod]
             assert eb.ext_dims_via_stable(m_mod, n_mod, depth) == full[n_mod]
-        for cutoffs in ((3, depth), (depth, 3)):
-            alg.clear_caches()
-            for n_mod in mods:
-                for c in cutoffs:
-                    assert eb.ext_table(m_mod, n_mod, c).dims == tuple(full[n_mod][:c + 1])
-            assert alg._resolution_memo == {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eb.MinimalResolution, "extend", _no_resolution)
+            for cutoffs in ((3, depth), (depth, 3)):
+                alg.clear_caches()
+                for n_mod in mods:
+                    for c in cutoffs:
+                        assert eb.ext_table(m_mod, n_mod, c).dims == tuple(full[n_mod][:c + 1])
+
+
+def _no_resolution(res, upto):
+    raise AssertionError("ext_table extended a MinimalResolution")
 
 
 def test_ext_table_matches_full_tables_on_fixtures(corpora):
@@ -542,9 +579,8 @@ def test_clear_caches_empties_the_memos_and_keeps_results(corpora):
               len(eb.hom_basis(s1, eb.regular_module(alg))), eb.vanishing_onset(s1, s2, 6),
               eb.ext_table(s1, eb.regular_module(alg), 6).dims)
     projectives, regular = dict(alg._projectives), alg._regular
-    memos = (alg._resolution_memo, alg._step_memo, alg._hom_memo, alg._ext_memo,
-             alg._rank_memo, alg._onset_memo)
-    assert all(memos)
+    memos = [value for name, value in vars(alg).items() if name.endswith("_memo")]
+    assert memos and all(memos)
     alg.clear_caches()
     for memo in memos:
         assert memo == {}
