@@ -289,11 +289,12 @@ class Algebra:
 
     def clear_caches(self) -> None:
         """Empty the memos of resolution steps (the only store of resolutions;
-        each MinimalResolution is a per-call walk of it), Hom bases, the
-        (Hom, Ext^1) pairs of Ext tables, the complex route's ranks,
-        projective dimensions per (module, cutoff) and vanishing onsets.
-        They refill on demand with equal values.  The projective, injective
-        and regular modules stay, as the algebra's own modules."""
+        each MinimalResolution is a per-call walk of it, built once, and
+        keeps the steps it holds), Hom bases, the (Hom, Ext^1) pairs of Ext
+        tables, the complex route's ranks, projective dimensions per
+        (module, cutoff) and vanishing onsets.  They refill on demand with
+        equal values.  The projective, injective and regular modules stay,
+        as the algebra's own modules."""
         for memo in (self._step_memo, self._hom_memo, self._ext_memo,
                      self._rank_memo, self._pd_memo, self._onset_memo):
             memo.clear()

@@ -322,7 +322,7 @@ def finite_pd_certificate(module: Representation, cutoff: int) -> FinitePdCertif
             return CertNotApplicable(f"{label} certifiably never vanishes")
         if onset.status == "undetermined":
             return CertUndetermined(cutoff)
-    res = minimal_resolution(module, cutoff + 1)
+    res = minimal_resolution(module, cutoff)
     for m in range(cutoff + 1):
         head = res.syzygy(m)
         tail = res.syzygy(m + 1)
@@ -351,7 +351,7 @@ def ultimately_closed_at(module: Representation, cutoff: int) -> UltimateClosure
     ones; a zero syzygy (terminated resolution) qualifies trivially."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    res = minimal_resolution(module, cutoff)
+    res = minimal_resolution(module, cutoff - 1)
     earlier = [module]
     for m in range(1, cutoff + 1):
         syz = res.syzygy(m)
@@ -368,7 +368,7 @@ def strongly_redundant_from(module: Representation, cutoff: int) -> int | None:
     of the strictly later syzygies within the cutoff window."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    res = minimal_resolution(module, cutoff)
+    res = minimal_resolution(module, cutoff - 1)
     for m in range(cutoff):
         syz = res.syzygy(m)
         if syz.is_zero:
@@ -481,8 +481,8 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     for name, rep in corpus:
         if rep.is_zero:
             continue
-        res = minimal_resolution(rep, 1)
-        p0, om = res.bundle(0).rep, res.syzygy(1)
+        res = minimal_resolution(rep, 0)
+        p0, om = res.covers[0].bundle.rep, res.syzygy(1)
         for tn, t_mod in corpus:
             triple = [vanishing_onset(t_mod, x, cutoff) for x in (om, p0, rep)]
             if not all(o.certified for o in triple):
@@ -541,7 +541,7 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
         lab = labs[name]
         if not lab.exact:
             continue
-        res = minimal_resolution(rep, 3)
+        res = minimal_resolution(rep, 2)
         for m in range(1, 4):
             syz_lab = left_bound(res.syzygy(m), corpus, max(cutoff - m, 1))
             if not syz_lab.exact:

@@ -156,14 +156,10 @@ def cmd_module_check(args):
 def cmd_resolve(args):
     name, rep = _load_module_arg(args.module)
     res = minimal_resolution(rep, args.cutoff)
-    rows = []
-    for k in range(args.cutoff + 1):
-        mult = res.multiplicities(k)
-        rows.append([str(k), str(list(mult)), str(sum(mult))])
+    mults = [list(res.multiplicities(k)) for k in range(args.cutoff + 1)]
+    rows = [[str(k), str(mult), str(sum(mult))] for k, mult in enumerate(mults)]
     terminated = res.terminated_at
-    payload = dict(_meta(args, "resolve"), module=name,
-                   multiplicities=[list(res.multiplicities(k))
-                                   for k in range(args.cutoff + 1)],
+    payload = dict(_meta(args, "resolve"), module=name, multiplicities=mults,
                    terminated_at=terminated)
     human = _table(rows, ["degree", "multiplicities", "summands"])
     human += f"\nterminated at syzygy {terminated}" if terminated is not None \

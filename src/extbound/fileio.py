@@ -129,18 +129,21 @@ def algebra_from_json(data: dict, where: str = "algebra") -> Algebra:
         raise FileFormatError(f"{where}: {exc}") from None
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
+
+
 def save_algebra(algebra: Algebra, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(dumps_canonical(algebra_to_json(algebra)))
 
 
 def load_algebra(path: str) -> Algebra:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
-    return algebra_from_json(data, where=path)
+    return algebra_from_json(_read_json(path), where=path)
 
 
 # ----- module files -----------------------------------------------------------
@@ -228,12 +231,7 @@ def save_module(module: Representation, path: str, name: str | None = None) -> N
 
 
 def load_module(path: str, algebra: Algebra | None = None):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
-    return module_from_json(data, algebra=algebra,
+    return module_from_json(_read_json(path), algebra=algebra,
                             base_dir=os.path.dirname(path) or ".", where=path)
 
 
@@ -241,16 +239,15 @@ def load_module(path: str, algebra: Algebra | None = None):
 
 
 def corpus_to_json(corpus: Corpus) -> dict:
-    alg = corpus.algebra
+    members = []
+    for name, rep in corpus.members:
+        out = module_to_json(rep, inline_algebra=False)
+        members.append({"name": name, "dims": out["dims"], "matrices": out["matrices"]})
     return {
         "schema_version": SCHEMA_VERSION,
-        "algebra": algebra_to_json(alg),
+        "algebra": algebra_to_json(corpus.algebra),
         "provenance": corpus.provenance,
-        "modules": [
-            {"name": name,
-             "dims": module_to_json(rep)["dims"],
-             "matrices": module_to_json(rep)["matrices"]}
-            for name, rep in corpus.members],
+        "modules": members,
     }
 
 
@@ -281,9 +278,4 @@ def save_corpus(corpus: Corpus, path: str) -> None:
 
 
 def load_corpus(path: str) -> Corpus:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
-    return corpus_from_json(data, where=path)
+    return corpus_from_json(_read_json(path), where=path)

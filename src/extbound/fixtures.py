@@ -19,7 +19,7 @@ from .algebra import (
     injective_module, make_relation, projective_module, simple_module,
 )
 from .modules import decompose
-from .homology import minimal_resolution
+from .homology import syzygy
 from .bounds import Corpus, UnknownNameError
 from .fileio import FileFormatError, corpus_from_json
 
@@ -134,9 +134,8 @@ def generate_corpus(algebra: Algebra, spec: str, *,
         for seed_name, seed in seeds:
             if seed.algebra is not algebra:
                 raise ValueError("seed module over a different algebra")
-            res = minimal_resolution(seed, depth)
             for j in range(depth + 1):
-                syz = res.syzygy(j)
+                syz = syzygy(seed, j)
                 if syz.is_zero or syz in seen:
                     continue
                 seen.add(syz)

@@ -16,9 +16,10 @@ ext_dims_via_stable walk with one route each, ext_table with both, compared
 per (syzygy, N) (_ext_pair).  The walk advances by _resolution_step, the
 projective cover of a module and the kernel of that cover, computed once per
 distinct module per algebra, the only store of resolution steps: a
-MinimalResolution (pd, periodicity, the CLI) is a per-call walk of them, and
-no Ext value reads one.  The pairs, the complex route's ranks, pd per
-(module, cutoff) and the vanishing onsets are memoized per algebra.
+MinimalResolution (pd, periodicity, the CLI) is a value built once per call,
+by one walk of them through its cutoff, and no Ext value reads one.  The
+pairs, the complex route's ranks, pd per (module, cutoff) and the vanishing
+onsets are memoized per algebra.
 
 Claims about all sufficiently large degrees are made only under a
 certificate: a terminated resolution or a verified syzygy periodicity.
@@ -39,25 +40,24 @@ and algebra.direct_sum give the proofs).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .exactla import Matrix, rank
 from .algebra import Representation, dual_module, regular_module
 from .modules import (
-    AlgebraMismatchError, CoverResult, InternalCheckError, ModuleMap, ProjectiveBundle,
+    AlgebraMismatchError, CoverResult, InternalCheckError, ModuleMap,
     _path_actions, hom_basis, is_isomorphic, kernel, projective_cover,
 )
 
 
 class MinimalResolution:
-    """An incrementally extendable minimal projective resolution.
+    """A minimal projective resolution of a module through a cutoff, built
+    once by its constructor and never changed afterwards.
 
-    After extend(k) the terms P_0..P_k, the syzygies up to index k+1 and the
-    inclusions of syzygy j+1 into P_j for j <= k are available (or the
-    resolution has terminated earlier).  Extension is guarded by a lock;
-    published data is immutable.
+    It holds the terms P_0..P_cutoff, the syzygies up to index cutoff+1 and
+    the inclusions of syzygy j+1 into P_j for j <= cutoff, or fewer when the
+    resolution terminates earlier.  A negative cutoff raises ValueError.
 
     Past the computed end, the accessors of a terminated resolution give zero
     terms and its stored zero syzygy; those of an unterminated one raise
@@ -65,21 +65,21 @@ class MinimalResolution:
     degree raises ValueError.
 
     Each step (cover, syzygy, inclusion) is a reference into the algebra's
-    step memo (_resolution_step), its one store of steps; minimal_resolution
-    builds a new walk per call, and the resolution of syzygy 1 holds the very
-    cover objects of this one from degree 1 on.
+    step memo (_resolution_step), its one store of steps, so the resolution
+    of syzygy 1 holds the very cover objects of this one from degree 1 on.
     """
 
-    def __init__(self, module: Representation):
+    def __init__(self, module: Representation, cutoff: int):
+        if cutoff < 0:
+            raise ValueError(f"cutoff must be >= 0, got {cutoff}")
         self.module = module
         self.algebra = module.algebra
         self.syzygies: list[Representation] = [module]
         self.covers: list[CoverResult] = []
         self.inclusions: list[ModuleMap] = []  # syzygy k+1 into P_k
-        self._multiplicities: list[tuple[int, ...]] = []  # summand counts of P_k
         # least k with syzygy k zero, once reached
-        self.terminated_at: int | None = 0 if module.is_zero else None
-        self._lock = threading.Lock()
+        self.terminated_at: int | None = None
+        self.extend(cutoff)  # through the class, where bench/tracer.py wraps it
 
     @property
     def length(self) -> int:
@@ -89,30 +89,27 @@ class MinimalResolution:
     def terminated(self) -> bool:
         return self.terminated_at is not None
 
-    def extend(self, upto: int) -> None:
-        with self._lock:
-            while len(self.covers) <= upto and self.terminated_at is None:
-                cov, syz, incl = _resolution_step(self.syzygies[-1])
-                mult = [0] * self.algebra.vertex_count
-                for v, _ in cov.bundle.summands:
-                    mult[v] += 1
-                self.covers.append(cov)
-                self._multiplicities.append(tuple(mult))
-                self.syzygies.append(syz)
-                self.inclusions.append(incl)
-                if syz.is_zero:
-                    self.terminated_at = len(self.syzygies) - 1
+    def extend(self, cutoff: int) -> None:
+        """The constructor's walk through the cutoff; a built resolution
+        raises RuntimeError, since it never changes."""
+        if len(self.syzygies) > 1 or self.terminated:
+            raise RuntimeError("a MinimalResolution is built once, by its constructor")
+        syz = self.module
+        while not syz.is_zero and len(self.covers) <= cutoff:
+            cov, syz, incl = _resolution_step(syz)
+            self.covers.append(cov)
+            self.syzygies.append(syz)
+            self.inclusions.append(incl)
+        if syz.is_zero:
+            self.terminated_at = len(self.syzygies) - 1
 
     def multiplicities(self, k: int) -> tuple[int, ...]:
         """Summand counts of P_k (past-end contract in the class docstring)."""
+        mult = [0] * self.algebra.vertex_count
         if self._computed(k, len(self.covers), "term"):
-            return self._multiplicities[k]
-        return (0,) * self.algebra.vertex_count
-
-    def bundle(self, k: int) -> ProjectiveBundle:
-        if self._computed(k, len(self.covers), "term"):
-            return self.covers[k].bundle
-        return ProjectiveBundle(self.syzygies[-1], (), ((),) * self.algebra.vertex_count, ())
+            for v, _ in self.covers[k].bundle.summands:
+                mult[v] += 1
+        return tuple(mult)
 
     def syzygy(self, k: int) -> Representation:
         """Syzygy k (past-end contract in the class docstring)."""
@@ -162,10 +159,8 @@ def _resolution_step(module: Representation) -> tuple[CoverResult, Representatio
 
 
 def minimal_resolution(module: Representation, cutoff: int) -> MinimalResolution:
-    """A new minimal resolution of the module, extended through cutoff."""
-    res = MinimalResolution(module)
-    res.extend(cutoff)
-    return res
+    """A new minimal resolution of the module, built once through cutoff."""
+    return MinimalResolution(module, cutoff)
 
 
 def syzygy(rep: Representation, m: int) -> Representation:
@@ -407,7 +402,8 @@ def periodicity_certificate(module: Representation,
                             cutoff: int) -> PeriodicityCertificate | None:
     """First certified syzygy recurrence in lexicographic (preperiod, period)
     order among syzygies 0..cutoff, or None (terminated resolutions never
-    count as periodic).  Nothing is cached between calls."""
+    count as periodic, and an unterminated one has no zero syzygy).  Nothing
+    is cached between calls."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     res = minimal_resolution(module, cutoff)
@@ -417,7 +413,7 @@ def periodicity_certificate(module: Representation,
     for a in range(cutoff):
         for b in range(a + 1, cutoff + 1):
             sa, sb = res.syzygy(a), res.syzygy(b)
-            if sa.is_zero or sa.dims != sb.dims:
+            if sa.dims != sb.dims:
                 continue
             iso = is_isomorphic(sa, sb)
             if iso.status == "iso":
@@ -444,9 +440,9 @@ def projective_dimension(module: Representation, cutoff: int) -> PdResult:
 
 
 def _decide_pd(module: Representation, cutoff: int) -> PdResult:
-    res = minimal_resolution(module, cutoff + 1)
-    t = res.terminated_at
-    if t is not None and t - 1 <= cutoff:
+    # the walk through cutoff shows every zero syzygy of index <= cutoff + 1
+    t = minimal_resolution(module, cutoff).terminated_at
+    if t is not None:
         return PdFinite(t - 1)
     cert = periodicity_certificate(module, cutoff)
     if cert is not None:

@@ -12,7 +12,6 @@ def test_resolution_nak3_simple(nak3):
     # past the end of a terminated resolution: its stored zero syzygy, no new terms
     assert res.syzygy(9) is res.syzygies[-1] and res.syzygies[-1].is_zero
     assert res.multiplicities(9) == (0, 0, 0)
-    assert res.bundle(9).summands == () and res.bundle(9).rep.is_zero
 
 
 def test_resolution_loop2_never_terminates(loop2):
@@ -33,14 +32,32 @@ def test_resolution_of_projective(corpora):
 
 
 def test_resolution_extends_incrementally(loop2):
+    # a deeper resolution holds the very covers of a shallower one
     s = eb.simple_module(loop2, 0)
-    res = eb.minimal_resolution(eb.direct_sum([s, s, s]), 2)
-    first = list(res.covers)
-    res.extend(5)
+    module = eb.direct_sum([s, s, s])
+    first = eb.minimal_resolution(module, 2).covers
+    res = eb.minimal_resolution(module, 5)
     assert len(res.covers) > len(first) >= 3
     assert all(a is b for a, b in zip(res.covers, first))
     for j, cov in enumerate(res.covers):
         assert cov is loop2._step_memo[res.syzygies[j]][0]
+
+
+def test_resolution_is_built_once(loop2):
+    for module in (eb.simple_module(loop2, 0), eb.zero_representation(loop2)):
+        res = eb.minimal_resolution(module, 2)
+        covers = list(res.covers)
+        with pytest.raises(RuntimeError, match="built once"):
+            res.extend(5)
+        assert res.covers == covers
+
+
+def test_resolution_rejects_negative_cutoff(nak3):
+    s1 = eb.simple_module(nak3, 0)
+    for build in (eb.minimal_resolution, eb.MinimalResolution):
+        with pytest.raises(ValueError, match="cutoff must be >= 0, got -1"):
+            build(s1, -1)
+    assert eb.minimal_resolution(s1, 0).multiplicities(0) == (1, 0, 0)
 
 
 def test_unterminated_resolution_past_end_raises(loop2):
@@ -54,8 +71,6 @@ def test_unterminated_resolution_past_end_raises(loop2):
         res.syzygy(len(res.syzygies))
     with pytest.raises(ValueError, match=end):
         res.multiplicities(len(res.covers))
-    with pytest.raises(ValueError, match=end):
-        res.bundle(len(res.covers))
     assert res.syzygy(len(res.syzygies) - 1).dims == (2,)
 
 
@@ -63,7 +78,7 @@ def test_resolution_rejects_negative_degrees(nak3):
     # a negative degree must not index the stored lists from their end
     res = eb.minimal_resolution(eb.simple_module(nak3, 0), 3)
     assert res.terminated
-    for accessor in (res.syzygy, res.multiplicities, res.bundle):
+    for accessor in (res.syzygy, res.multiplicities):
         with pytest.raises(ValueError, match="must be >= 0"):
             accessor(-1)
 
@@ -132,6 +147,23 @@ def test_pd_examples(nak3, loop2):
 def test_pd_undetermined_at_tiny_cutoff(cnak2):
     res = eb.projective_dimension(eb.simple_module(cnak2, 0), 1)
     assert isinstance(res, PdAtLeast)
+
+
+def test_pd_at_its_boundary_cutoff(corpora):
+    # with cold memos, pd d is decided at cutoff d and only bounded below at d - 1
+    from extbound import CertUndetermined, PdBound
+    members = [(c.algebra, rep) for c in corpora.values() for _, rep in c.members]
+    finite = [(alg, rep, pd.value) for alg, rep in members
+              if isinstance(pd := eb.projective_dimension(rep, 12), PdFinite) and pd.value >= 1]
+    nak3 = corpora["NAK3"].algebra
+    assert (nak3, eb.simple_module(nak3, 0), 2) in finite
+    for alg, rep, d in finite:
+        alg.clear_caches()
+        assert eb.projective_dimension(rep, d) == PdFinite(d)
+        assert eb.finite_pd_certificate(rep, d) == PdBound(d)
+        if d >= 2:
+            assert eb.projective_dimension(rep, d - 1) == PdAtLeast(d - 1)
+            assert eb.finite_pd_certificate(rep, d - 1) == CertUndetermined(d - 1)
 
 
 def test_pd_zero_module(a2):
@@ -285,7 +317,7 @@ def _restriction_rank_reference(m_mod, n_mod, cutoff):
         if syz.is_zero:
             dims.append(0)
             continue
-        bundle = res.bundle(i - 1)
+        bundle = res.covers[i - 1].bundle
         restricted = []
         # the hom sending generator s to basis vector e of N and the others to 0
         for s, (v, _) in enumerate(bundle.summands):
@@ -376,7 +408,7 @@ def _induced_matrix(res, n_mod, k, op):
     with d_k composed from M's resolution as the cover of syzygy k followed
     by its inclusion into P_{k-1}."""
     fld = res.algebra.field
-    dom, cod = res.bundle(k - 1), res.bundle(k)
+    dom, cod = res.covers[k - 1].bundle, res.covers[k].bundle
     dom_off, cod_off = [0], [0]
     for v, _ in dom.summands:
         dom_off.append(dom_off[-1] + n_mod.dims[v])
@@ -605,9 +637,7 @@ def test_racing_threads_share_one_step_per_module():
 
     def work():
         for s in simples:
-            res = eb.MinimalResolution(s)
-            res.extend(8)
-            results.append(res)
+            results.append(eb.MinimalResolution(s, 8))
         for s in simples:
             for t in simples:
                 onsets.append(((s, t, 8), eb.vanishing_onset(s, t, 8)))
