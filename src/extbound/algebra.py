@@ -276,6 +276,7 @@ class Algebra:
         self._projectives: dict[int, "Representation"] = {}
         self._injectives: dict[int, "Representation"] = {}
         self._regular: "Representation | None" = None
+        self._opposite: "Algebra | None" = None
         self._step_memo: dict = {}
         self._ext_memo: dict = {}
         self._rank_memo: dict = {}
@@ -294,7 +295,7 @@ class Algebra:
         tables, the complex route's ranks, projective dimensions per
         (module, cutoff) and vanishing onsets.  They refill on demand with
         equal values.  The projective, injective and regular modules stay,
-        as the algebra's own modules."""
+        as the algebra's own modules, and so does the opposite algebra."""
         for memo in (self._step_memo, self._hom_memo, self._ext_memo,
                      self._rank_memo, self._pd_memo, self._onset_memo):
             memo.clear()
@@ -419,16 +420,20 @@ def build_algebra(presentation: AlgebraPresentation) -> Algebra:
 def opposite(algebra: Algebra) -> Algebra:
     """The opposite algebra: arrows and relation paths reversed.
 
-    Taking the opposite twice returns the original Algebra instance.
+    Taking the opposite twice returns the original Algebra instance.  It is
+    built once per algebra and kept on both algebras.
     """
-    pres = algebra.presentation
-    q = pres.quiver
-    op_quiver = Quiver(q.vertices, tuple(Arrow(a.name, a.target, a.source) for a in q.arrows))
-    op_rels = tuple(
-        tuple((c, Path(p.target, p.source, tuple(reversed(p.arrows)))) for c, p in rel)
-        for rel in pres.relations)
-    return build_algebra(AlgebraPresentation(pres.field, op_quiver, op_rels,
-                                             pres.nilpotency_bound))
+    if algebra._opposite is None:
+        pres = algebra.presentation
+        q = pres.quiver
+        op_quiver = Quiver(q.vertices, tuple(Arrow(a.name, a.target, a.source) for a in q.arrows))
+        op_rels = tuple(
+            tuple((c, Path(p.target, p.source, tuple(reversed(p.arrows)))) for c, p in rel)
+            for rel in pres.relations)
+        op = build_algebra(AlgebraPresentation(pres.field, op_quiver, op_rels,
+                                               pres.nilpotency_bound))
+        algebra._opposite, op._opposite = op, algebra
+    return algebra._opposite
 
 
 @dataclass(frozen=True)

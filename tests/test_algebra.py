@@ -1,6 +1,7 @@
 import pytest
 
 import extbound as eb
+from extbound import algebra as algebra_module
 from extbound import (
     AlgebraPresentation, FieldSpec, NilpotencyBoundError, PresentationError,
     Quiver, build_algebra, make_relation,
@@ -118,6 +119,22 @@ def test_dual_of_simple_is_simple(nak3):
     d = eb.dual_module(eb.simple_module(nak3, 0))
     assert d.algebra is eb.opposite(nak3)
     assert d.dims == (1, 0, 0)
+
+
+def test_opposite_is_built_once_per_algebra(monkeypatch, nak3):
+    op = eb.dual_module(eb.simple_module(nak3, 0)).algebra
+    calls = []
+    original = algebra_module.build_algebra
+
+    def counting(presentation):
+        calls.append(presentation)
+        return original(presentation)
+
+    monkeypatch.setattr(algebra_module, "build_algebra", counting)
+    nak3.clear_caches()
+    assert eb.dual_module(eb.simple_module(nak3, 1)).algebra is op
+    assert eb.opposite(op) is nak3 and eb.opposite(nak3) is op
+    assert calls == []
 
 
 def test_dual_sends_opposite_projectives_to_injectives(corpora):

@@ -1,10 +1,12 @@
 """The benchmark's tracer (bench/tracer.py) counts resolution steps by
-wrapping MinimalResolution.extend and counts found periodicity certificates
-by wrapping homology.periodicity_certificate.  The Tier-1 suite does not run
-the benchmark's own tests, so these tests keep both hooks reachable."""
+wrapping MinimalResolution.extend, counts found periodicity certificates
+by wrapping homology.periodicity_certificate, and wraps a bounds function
+by rebinding it in its layer, which the package then reads through.  The
+Tier-1 suite does not run the benchmark's own tests, so these tests keep
+those hooks reachable."""
 
 import extbound as eb
-from extbound import PdPeriodic, homology
+from extbound import PdPeriodic, bounds, homology
 
 
 def test_each_resolution_is_built_by_one_extend_call(monkeypatch, loop2):
@@ -37,3 +39,14 @@ def test_pd_reaches_periodicity_through_the_module_global(monkeypatch, loop2):
     loop2.clear_caches()
     assert isinstance(eb.projective_dimension(eb.simple_module(loop2, 0), 6), PdPeriodic)
     assert calls == [6]
+
+
+def test_deferred_names_read_through_to_their_layer(monkeypatch):
+    before = {name: id(value) for name, value in vars(eb).items()}
+
+    def replacement(*args):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(bounds, "left_bound", replacement)
+    assert eb.left_bound is replacement
+    assert {name: id(value) for name, value in vars(eb).items()} == before

@@ -1,6 +1,7 @@
 """The package runtime imports only the standard library and itself, never
 the random module (every computation is deterministic), and imports at
-module top except where a function-local import breaks an import cycle."""
+module top except where a function-local import breaks an import cycle or
+the package imports an upper layer on first use."""
 
 import ast
 import sys
@@ -11,6 +12,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "extbound"
 # (file, function) pairs whose local import breaks a cycle: modules imports
 # algebra at top level, so algebra reaches ModuleMap only at call time
 CYCLE_BREAKERS = {("algebra.py", "direct_sum_with_maps")}
+# (file, function) pairs that import by call: the package's __getattr__
+# imports an upper layer on first use of one of its names
+DEFERRED_IMPORTS = {("__init__.py", "__getattr__")}
+IMPORT_CALLS = {"__import__", "import_module"}
 
 
 def _trees():
@@ -46,14 +51,26 @@ def test_runtime_never_imports_random():
     assert not found, f"random imported: {found}"
 
 
+def _is_import_call(node) -> bool:
+    """importlib.import_module(...), import_module(...) or __import__(...)"""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name in IMPORT_CALLS
+
+
 def test_imports_are_at_module_top():
     local = []
     for path, tree in _trees():
         for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    or (path.name, fn.name) in CYCLE_BREAKERS:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            local.extend(f"{path.name}:{node.lineno} in {fn.name}"
-                         for node in ast.walk(fn)
-                         if isinstance(node, (ast.Import, ast.ImportFrom)))
+            where = (path.name, fn.name)
+            for node in ast.walk(fn):
+                statement = isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and where not in CYCLE_BREAKERS
+                call = _is_import_call(node) and where not in DEFERRED_IMPORTS
+                if statement or call:
+                    local.append(f"{path.name}:{node.lineno} in {fn.name}")
     assert not local, f"function-local imports: {local}"
