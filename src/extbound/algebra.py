@@ -17,6 +17,7 @@ first), and the product p*q in the algebra means "apply q, then p".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .exactla import Echelon, FieldSpec, Matrix, Scalar
@@ -283,21 +284,25 @@ class Algebra:
         self._hom_memo: dict = {}
         self._pd_memo: dict = {}
         self._onset_memo: dict = {}
+        self._module_memo: dict = {}
 
     @property
     def vertex_count(self) -> int:
         return self.quiver.vertex_count
 
     def clear_caches(self) -> None:
-        """Empty the memos of resolution steps (the only store of resolutions;
-        each MinimalResolution is a per-call walk of it, built once, and
-        keeps the steps it holds), Hom bases, the (Hom, Ext^1) pairs of Ext
-        tables, the complex route's ranks, projective dimensions per
-        (module, cutoff) and vanishing onsets.  They refill on demand with
-        equal values.  The projective, injective and regular modules stay,
-        as the algebra's own modules, and so does the opposite algebra."""
+        """Empty the seven memos: resolution steps (the only store of
+        resolutions; each MinimalResolution is a per-call walk of it, built
+        once, and keeps the steps it holds), Hom bases, the (Hom, Ext^1)
+        pairs of Ext tables, the complex route's ranks, projective
+        dimensions per (module, cutoff), vanishing onsets and the module
+        table (_canonical_module), which grows with every module built
+        until it is cleared.  They refill on demand with equal values.  The
+        projective, injective and regular modules stay, as the algebra's
+        own modules, and so does the opposite algebra."""
         for memo in (self._step_memo, self._hom_memo, self._ext_memo,
-                     self._rank_memo, self._pd_memo, self._onset_memo):
+                     self._rank_memo, self._pd_memo, self._onset_memo,
+                     self._module_memo):
             memo.clear()
 
     def multiply_basis(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
@@ -493,13 +498,23 @@ class Representation:
             h = self.__dict__["_hash"] = hash((self.algebra, self.dims, self.arrow_matrices))
         return h
 
-    @property
+    # computed once per module and kept in the instance dict, like _hash
+    @cached_property
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    @property
+    @cached_property
     def is_zero(self) -> bool:
         return self.total_dim == 0
+
+
+def _canonical_module(rep: Representation) -> Representation:
+    """The one object of the algebra's module table equal to rep: rep itself
+    the first time its structure is built, the stored object afterwards.
+    Memo keys keep their structural equality; the table only turns equal
+    keys into identical ones, so later lookups compare by identity.  Racing
+    threads both return the object stored first."""
+    return rep.algebra._module_memo.setdefault(rep, rep)
 
 
 def path_action(rep: Representation, path: Path) -> Matrix:
@@ -613,12 +628,14 @@ def simple_module(algebra: Algebra, vertex: int) -> Representation:
     mats = tuple(
         Matrix.zeros(algebra.field, dims[a.target], dims[a.source])
         for a in algebra.quiver.arrows)
-    return Representation(algebra, dims, mats)
+    return _canonical_module(Representation(algebra, dims, mats))
 
 
 def dual_module(rep: Representation) -> Representation:
     """The standard duality: same dimension vector over the opposite algebra,
-    every arrow matrix transposed.  Applying it twice gives back the input.
+    every arrow matrix transposed.  Applying it twice gives back the input,
+    as the very same object when the input is in its algebra's module table
+    (_canonical_module), as every dual, simple and submodule is.
 
     The dual is valid by construction and is built without the relation
     re-check: a reversed path acts on the dual by the transpose of the path's
@@ -627,7 +644,7 @@ def dual_module(rep: Representation) -> Representation:
     that relation's action, which is zero because the input is a module."""
     op = opposite(rep.algebra)
     mats = tuple(m.transpose() for m in rep.arrow_matrices)
-    return Representation._trusted(op, rep.dims, mats)
+    return _canonical_module(Representation._trusted(op, rep.dims, mats))
 
 
 def injective_module(algebra: Algebra, vertex: int) -> Representation:

@@ -397,11 +397,43 @@ class Echelon:
     def contains(self, vec: Sequence[Scalar]) -> bool:
         return not any(self.reduce(vec))
 
+    def kernel_basis(self, width: int) -> list[tuple]:
+        """Canonical basis of the vectors of length width that every row
+        annihilates: each free column f contributes one vector, a unit at f
+        and minus the entry at f of each row at that row's pivot column."""
+        p = self._p
+        zero, one = (0, 1) if p is not None else (Fraction(0), Fraction(1))
+        pivot_set = set(self.pivots)
+        pivot_rows = list(zip(self.pivots, self.rows))
+        basis = []
+        for f in range(width):
+            if f in pivot_set:
+                continue
+            vec = [zero] * width
+            vec[f] = one
+            for pc, row in pivot_rows:
+                c = row[f]
+                if c:
+                    vec[pc] = -c if p is None else -c % p
+            basis.append(tuple(vec))
+        return basis
+
 
 class RrefResult(NamedTuple):
     matrix: Matrix
     pivots: tuple[int, ...]
     rank: int
+
+
+def _row_echelon(m: Matrix) -> Echelon:
+    """The Echelon of the rows of m, which stops adding once the rank is full."""
+    cols = m.cols
+    ech = Echelon(m.field)
+    for i in range(m.rows):
+        if len(ech.pivots) == cols:
+            break
+        ech.add(m.entries[i * cols:(i + 1) * cols])
+    return ech
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -411,11 +443,7 @@ def rref(m: Matrix) -> RrefResult:
     function of the input; rows beyond the rank are zero.
     """
     fld, cols = m.field, m.cols
-    ech = Echelon(fld)
-    for i in range(m.rows):
-        if len(ech.pivots) == cols:
-            break
-        ech.add(m.entries[i * cols:(i + 1) * cols])
+    ech = _row_echelon(m)
     rk = len(ech.pivots)
     flat = [x for row in ech.rows for x in row]
     flat.extend([fld.zero] * ((m.rows - rk) * cols))
@@ -427,23 +455,12 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:
-    """Canonical basis of the right null space.
+    """Canonical basis of the right null space (Echelon.kernel_basis).
 
     Each free column contributes one basis vector with a unit in that free
     position; pivot coordinates are read off the reduced echelon form.
     """
-    red, pivots, _ = rref(m)
-    fld = m.field
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [fld.zero] * m.cols
-        vec[f] = fld.one
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = fld.neg(red.entry(row_idx, f))
-        basis.append(tuple(vec))
-    return basis
+    return _row_echelon(m).kernel_basis(m.cols)
 
 
 def solve(m: Matrix, b: Sequence[Scalar]) -> tuple | None:

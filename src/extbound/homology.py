@@ -19,7 +19,10 @@ distinct module per algebra, the only store of resolution steps: a
 MinimalResolution (pd, periodicity, the CLI) is a value built once per call,
 by one walk of them through its cutoff, and no Ext value reads one.  The
 pairs, the complex route's ranks, pd per (module, cutoff) and the vanishing
-onsets are memoized per algebra.
+onsets are memoized per algebra.  Every memo key compares structurally, but
+each syzygy, simple and dual is the one object of its algebra's module table
+(algebra._canonical_module), so a key built from those modules hits by
+identity.
 
 Claims about all sufficiently large degrees are made only under a
 certificate: a terminated resolution or a verified syzygy periodicity.

@@ -22,11 +22,14 @@ function, _subrepresentation, and every quotient by cokernel.  Each proves
 its result with one exact equality per arrow, the intertwining equation of
 its inclusion or projection, and then builds it with the trusted
 constructors instead of re-checking an object that is valid by
-construction; the argument is in each docstring.  Hom bases (solutions of
-the intertwining system) and projective covers (a -> a . m on each
-summand) are built the same way.  The checked constructors remain for
-modules read from files, for simple, projective and zero modules, and for
-the canonical maps of direct sums and the Fitting projections.
+construction; the argument is in each docstring.  Every submodule is
+also the one object of its algebra's module table for its structure
+(algebra._canonical_module).  Hom bases (the canonical kernel of the
+intertwining equations, fed row by row into an Echelon) and projective
+covers (a -> a . m on each summand) are built the same way.  The checked
+constructors remain for modules read from files, for simple, projective and
+zero modules, and for the canonical maps of direct sums and the Fitting
+projections.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .exactla import (
     Echelon, Matrix, column_space_basis, hstack, inverse, kernel_basis, rank, solve,
 )
 from .algebra import (
-    Algebra, Path, Representation, direct_sum, direct_sum_with_maps,
+    Algebra, Path, Representation, _canonical_module, direct_sum, direct_sum_with_maps,
     path_action, projective_module, zero_representation,
 )
 
@@ -163,45 +166,54 @@ class ModuleMap:
 def hom_basis(source: Representation, target: Representation) -> list[ModuleMap]:
     """Canonical basis of Hom(source, target).
 
-    Solves the intertwining system f_t X_a = X'_a f_s exactly; the basis is
-    the canonical kernel basis of that system, hence deterministic.  Bases
-    are memoized per algebra (they are immutable).  Each basis map is valid
-    and built without the intertwining re-check: it solves the system, whose
-    rows are the intertwining equations, entry by entry.
+    The unknowns are the entries of the vertex maps f_v, vertex by vertex,
+    each in row-major order.  Every intertwining equation f_t X_a = X'_a f_s
+    of an arrow a: s -> t is one row over the unknowns, fed as it is built
+    into an Echelon; arrows with no unknown at either end give no row, and
+    with no unknown at all the basis is empty.  The basis is the Echelon's
+    canonical kernel basis: the reduced echelon form is unique, so the
+    vectors and their order do not depend on the order the rows came in.
+    Bases are memoized per algebra (they are immutable).  Each basis map is
+    valid and built without the intertwining re-check: it solves the
+    system, whose rows are the intertwining equations, entry by entry, and
+    its matrices have the shapes of the unknowns' blocks.
     """
     alg = _same_algebra(source, target)
     cached = alg._hom_memo.get((source, target))
     if cached is not None:
         return list(cached)
     fld = alg.field
-    sizes = [target.dims[v] * source.dims[v] for v in range(alg.vertex_count)]
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
+    xdims, ndims = source.dims, target.dims
+    sizes = [n * x for n, x in zip(ndims, xdims)]
+    offsets = [0, *itertools.accumulate(sizes)]
     unknowns = offsets[-1]
-    rows: list[list] = []
-    for a, xs, xt in zip(alg.quiver.arrows, source.arrow_matrices, target.arrow_matrices):
-        s, t = a.source, a.target
-        for r in range(target.dims[t]):
-            for c in range(source.dims[s]):
-                row = [fld.zero] * unknowns
-                # (f_t X_a)[r, c] contributes f_t[r, k] * X_a[k, c]
-                for k in range(source.dims[t]):
-                    row[offsets[t] + r * source.dims[t] + k] = fld.add(
-                        row[offsets[t] + r * source.dims[t] + k], xs.entry(k, c))
-                # -(X'_a f_s)[r, c] contributes -X'_a[r, k] * f_s[k, c]
-                for k in range(target.dims[s]):
-                    idx = offsets[s] + k * source.dims[s] + c
-                    row[idx] = fld.sub(row[idx], xt.entry(r, k))
-                rows.append(row)
-    system = Matrix.from_rows(fld, rows) if rows else Matrix.zeros(fld, 0, unknowns)
     maps = []
-    for vec in kernel_basis(system):
-        mats = []
-        for v in range(alg.vertex_count):
-            seg = vec[offsets[v]:offsets[v] + sizes[v]]
-            mats.append(Matrix(fld, target.dims[v], source.dims[v], tuple(seg)))
-        maps.append(ModuleMap._trusted(source, target, tuple(mats)))
+    if unknowns:
+        p = fld.p
+        ech = Echelon(fld)
+        for a, xs, xt in zip(alg.quiver.arrows, source.arrow_matrices, target.arrow_matrices):
+            s, t = a.source, a.target
+            if not (sizes[s] or sizes[t]):
+                continue
+            dx_t, dx_s, dn_s = xdims[t], xdims[s], ndims[s]
+            es, et = xs.entries, xt.entries
+            for r in range(ndims[t]):
+                left = offsets[t] + r * dx_t
+                for c in range(dx_s):
+                    row = [fld.zero] * unknowns
+                    # (f_t X_a)[r, c] contributes f_t[r, k] * X_a[k, c]
+                    for k in range(dx_t):
+                        row[left + k] += es[k * dx_s + c]
+                    # -(X'_a f_s)[r, c] contributes -X'_a[r, k] * f_s[k, c]
+                    for k in range(dn_s):
+                        row[offsets[s] + k * dx_s + c] -= et[r * dn_s + k]
+                    # canonical entries: over Q every sum with the zero
+                    # Fraction is a Fraction already
+                    ech.add(row if p is None else [x % p for x in row])
+        for vec in ech.kernel_basis(unknowns):
+            maps.append(ModuleMap._trusted(source, target, tuple(
+                Matrix._trusted(fld, ndims[v], xdims[v], vec[offsets[v]:offsets[v + 1]])
+                for v in range(alg.vertex_count))))
     alg._hom_memo[(source, target)] = tuple(maps)
     return maps
 
@@ -660,7 +672,10 @@ def _subrepresentation(rep: Representation, cols: list[Matrix],
         if (cols[a.target] @ sub).entries != moved.entries:
             raise InternalCheckError(f"{what} is not arrow-stable")
         mats.append(sub)
-    sub_rep = Representation._trusted(alg, tuple(c.cols for c in cols), tuple(mats))
+    # the table's object for this structure, taken before the inclusion is
+    # built so that the inclusion's source is that object
+    sub_rep = _canonical_module(
+        Representation._trusted(alg, tuple(c.cols for c in cols), tuple(mats)))
     return sub_rep, ModuleMap._trusted(sub_rep, rep, tuple(cols))
 
 

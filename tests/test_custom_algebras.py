@@ -65,6 +65,15 @@ def test_rational_loop_homology(loop_q):
     assert onset.status == "vanishes" and onset.onset == 0
 
 
+def test_rational_hom_basis_matches_the_dense_reference(
+        loop_q, assert_hom_basis_matches_reference):
+    s, p = eb.simple_module(loop_q, 0), eb.projective_module(loop_q, 0)
+    modules = [s, p, eb.direct_sum([s, p]), eb.direct_sum([p, s, p])]
+    for source in modules:
+        for target in modules:
+            assert_hom_basis_matches_reference(source, target)
+
+
 def _kronecker_band(algebra, second):
     # Kronecker representation Q^2 => Q^2 with arrows (I, second)
     fld = algebra.field

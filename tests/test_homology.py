@@ -675,8 +675,10 @@ def test_second_hash_rehashes_no_matrix(monkeypatch, nak3):
     def counting(self):
         calls.append(self)
         return honest(self)
-    monkeypatch.setattr(eb.Matrix, "__hash__", counting)
+    # built before the counter goes in: simple_module hashes its module into
+    # the module table
     rep = eb.direct_sum([eb.simple_module(nak3, 0), eb.projective_module(nak3, 1)])
+    monkeypatch.setattr(eb.Matrix, "__hash__", counting)
     first = hash(rep)
     assert len(calls) == len(rep.arrow_matrices)
     assert hash(rep) == first and len(calls) == len(rep.arrow_matrices)
@@ -690,6 +692,57 @@ def test_equal_modules_built_apart_share_one_onset(nak3):
     onset = eb.vanishing_onset(a, s1, 6)
     assert eb.vanishing_onset(b, s1, 6) is onset
     assert list(nak3._onset_memo) == [(a, s1, 6)]
+
+
+# ----- one object per module ---------------------------------------------------
+
+
+def test_a_syzygy_equal_to_a_simple_is_that_simple(nak3):
+    # the radical of P(1) is S(2), so syzygy 1 of S(1) equals S(2)
+    nak3.clear_caches()
+    s2 = eb.simple_module(nak3, 1)
+    assert eb.syzygy(eb.simple_module(nak3, 0), 1) is s2
+    nak3.clear_caches()
+    om = eb.syzygy(eb.simple_module(nak3, 0), 1)
+    assert om == s2 and om is not s2  # a new table: the syzygy came first
+    assert eb.simple_module(nak3, 1) is om
+    assert eb.minimal_resolution(eb.simple_module(nak3, 0), 2).inclusions[0].source is om
+
+
+def test_the_double_dual_of_a_built_module_is_the_module(corpora):
+    for corpus in corpora.values():
+        alg = corpus.algebra
+        for v in range(alg.vertex_count):
+            for m_mod in (eb.simple_module(alg, v), eb.syzygy(eb.simple_module(alg, v), 1),
+                          eb.radical(eb.projective_module(alg, v))[0]):
+                dual = eb.dual_module(m_mod)
+                assert eb.dual_module(dual) is m_mod
+                assert eb.dual_module(m_mod) is dual
+
+
+def test_racing_threads_build_one_object_per_module(nak3):
+    import sys
+    import threading
+    nak3.clear_caches()
+    cover = eb.projective_cover(eb.simple_module(nak3, 0)).cover
+    built: list = []
+
+    def work():
+        for _ in range(50):  # each kernel() builds its submodule afresh
+            built.append(eb.kernel(cover)[0])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(built) == 200 and all(m is built[0] for m in built)
+    assert eb.radical(eb.projective_module(nak3, 0))[0] is built[0]
 
 
 def test_repeated_onset_is_the_stored_result(loop2):
@@ -897,6 +950,16 @@ def test_certified_step_matches_reference_on_nakayama(vertices, length):
     for v in range(vertices):
         for m_mod in (eb.simple_module(alg, v), eb.projective_module(alg, v)):
             _assert_resolution_matches_reference(m_mod, 6)
+
+
+def test_hom_basis_matches_the_dense_reference_on_quantum_syzygies(
+        assert_hom_basis_matches_reference):
+    # two loops: an equation row can take a + and a - term in one entry
+    alg = _quantum_complete_intersection(101, 7)
+    syzygies = eb.minimal_resolution(eb.simple_module(alg, 0), 6).syzygies[:7]
+    for source in syzygies:
+        for target in syzygies:
+            assert_hom_basis_matches_reference(source, target)
 
 
 def test_certified_step_matches_reference_on_quantum_complete_intersection():

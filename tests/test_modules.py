@@ -351,3 +351,47 @@ def test_decompose_matches_exhaustive_search_for_small_p(rep):
     assert len(dec.copies) == copies
     # the certificate on its own, also where a Fitting candidate splits first
     assert _locality(rep, eb.end_basis(rep))[0] in (None, copies == 1)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(small_modules(), small_modules())
+def test_hom_basis_matches_the_dense_reference(assert_hom_basis_matches_reference, rep, other):
+    alg = rep.algebra
+    partners = [rep, eb.radical(rep)[0]]
+    partners += [eb.simple_module(alg, v) for v in range(alg.vertex_count)]
+    partners += [eb.projective_module(alg, v) for v in range(alg.vertex_count)]
+    if other.algebra is alg:
+        partners.append(other)
+    for partner in partners:
+        assert_hom_basis_matches_reference(rep, partner)
+        assert_hom_basis_matches_reference(partner, rep)
+
+
+def test_hom_basis_without_unknowns_adds_no_row(monkeypatch, a2):
+    from extbound.exactla import Echelon
+    added = []
+    honest = Echelon.add
+
+    def counting(self, vec):
+        added.append(vec)
+        return honest(self, vec)
+    monkeypatch.setattr(Echelon, "add", counting)
+    s1, s2 = eb.simple_module(a2, 0), eb.simple_module(a2, 1)
+    a2._hom_memo.pop((s1, s2), None)
+    assert eb.hom_basis(s1, s2) == [] and added == []  # disjoint supports
+    assert a2._hom_memo[(s1, s2)] == ()
+    p1 = eb.projective_module(a2, 0)
+    a2._hom_memo.pop((p1, p1), None)
+    assert len(eb.hom_basis(p1, p1)) == 1 and added  # the arrow's equation goes in
+
+
+def test_hom_basis_reduces_raw_entries(assert_hom_basis_matches_reference):
+    # the plain Matrix constructor keeps entries as given: 5 and -5 are 0 in GF(5)
+    alg = _free_algebra(5, _SMALL_QUIVERS["kronecker"])
+    fld = alg.field
+    raw = eb.Representation(alg, (2, 2), (eb.Matrix(fld, 2, 2, (5, 1, -5, 6)),
+                                          eb.Matrix(fld, 2, 2, (-1, 7, 10, 2))))
+    for partner in (raw, eb.simple_module(alg, 0), eb.projective_module(alg, 0),
+                    _kronecker(alg, [[4, 2], [0, 2]])):
+        assert_hom_basis_matches_reference(raw, partner)
+        assert_hom_basis_matches_reference(partner, raw)
