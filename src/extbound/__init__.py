@@ -59,8 +59,8 @@ _DEFERRED_NAMES = {
         "left_add_approximation",
     ),
     "fixtures": (
-        "FIXTURE_NAMES", "build_fixture_corpus", "fixture_algebra",
-        "fixture_corpus", "fixture_module", "generate_corpus",
+        "FIXTURE_NAMES", "fixture_algebra", "fixture_corpus", "fixture_module",
+        "generate_corpus",
     ),
 }
 # public name of an upper layer -> that layer

@@ -275,7 +275,6 @@ class Algebra:
             for ai, a in enumerate(self.quiver.arrows))
         # caches, filled lazily; all cached values are immutable
         self._projectives: dict[int, "Representation"] = {}
-        self._injectives: dict[int, "Representation"] = {}
         self._regular: "Representation | None" = None
         self._opposite: "Algebra | None" = None
         self._step_memo: dict = {}
@@ -298,8 +297,8 @@ class Algebra:
         dimensions per (module, cutoff), vanishing onsets and the module
         table (_canonical_module), which grows with every module built
         until it is cleared.  They refill on demand with equal values.  The
-        projective, injective and regular modules stay, as the algebra's
-        own modules, and so does the opposite algebra."""
+        projective and regular modules stay, as the algebra's own modules,
+        and so does the opposite algebra."""
         for memo in (self._step_memo, self._hom_memo, self._ext_memo,
                      self._rank_memo, self._pd_memo, self._onset_memo,
                      self._module_memo):
@@ -597,7 +596,8 @@ def direct_sum_with_maps(reps: Sequence[Representation]):
 
 def projective_module(algebra: Algebra, vertex: int) -> Representation:
     """P(vertex): basis paths starting at the vertex, arrows acting by
-    post-composition through the multiplication table."""
+    post-composition through the multiplication table.  The module table's
+    object, kept on the algebra."""
     if not (0 <= vertex < algebra.vertex_count):
         raise ValueError(f"invalid vertex index {vertex}")
     cached = algebra._projectives.get(vertex)
@@ -616,7 +616,7 @@ def projective_module(algebra: Algebra, vertex: int) -> Representation:
                 rows[pos_in_block[a.target][k]][col] = c
         mats.append(Matrix.from_rows(fld, rows) if dims[a.target] else
                     Matrix.zeros(fld, 0, dims[a.source]))
-    rep = Representation(algebra, dims, tuple(mats))
+    rep = _canonical_module(Representation(algebra, dims, tuple(mats)))
     algebra._projectives[vertex] = rep
     return rep
 
@@ -635,7 +635,7 @@ def dual_module(rep: Representation) -> Representation:
     """The standard duality: same dimension vector over the opposite algebra,
     every arrow matrix transposed.  Applying it twice gives back the input,
     as the very same object when the input is in its algebra's module table
-    (_canonical_module), as every dual, simple and submodule is.
+    (_canonical_module), as every dual, simple, projective and submodule is.
 
     The dual is valid by construction and is built without the relation
     re-check: a reversed path acts on the dual by the transpose of the path's
@@ -648,14 +648,9 @@ def dual_module(rep: Representation) -> Representation:
 
 
 def injective_module(algebra: Algebra, vertex: int) -> Representation:
-    """I(vertex), computed as the dual of the opposite-algebra projective."""
-    cached = algebra._injectives.get(vertex)
-    if cached is not None:
-        return cached
-    rep = dual_module(projective_module(opposite(algebra), vertex))
-    assert rep.algebra is algebra
-    algebra._injectives[vertex] = rep
-    return rep
+    """I(vertex), the dual of the opposite algebra's projective: an object of
+    the module table, as every dual is."""
+    return dual_module(projective_module(opposite(algebra), vertex))
 
 
 def regular_module(algebra: Algebra) -> Representation:

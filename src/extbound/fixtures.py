@@ -3,30 +3,34 @@
 Four fixtures cover the hypotheses the checkers care about: A2 (hereditary),
 LOOP2 (local self-injective, square-zero loop), NAK3 (Nakayama of global
 dimension two), CNAK2 (self-injective cyclic Nakayama with square-zero
-radical).  Each ships with its complete list of indecomposables as a corpus
-file; loading re-validates the file and certifies every member
-indecomposable via the Fitting decomposition.
+radical).  `fixture_corpus` builds each one's complete list of
+indecomposables in code: the simples S_v, then the projectives P_v that are
+not simple.
+
+Every member is indecomposable because its endomorphism ring is local:
+End(S_v) = k, and End(P_v) is e_v A e_v, up to taking the opposite ring,
+with e_v A e_v = k e_v + e_v (rad A) e_v, where e_v (rad A) e_v is a
+nilpotent ideal because rad A is nilpotent.  The list is complete because
+each fixture quiver is a line or an oriented cycle, so the algebra is
+Nakayama: every indecomposable is uniserial, P_v / rad^j P_v for
+1 <= j <= dim P_v, so there are sum_v dim P_v of them, and here
+rad^2 A = 0, so each is S_v or P_v.  tests/test_fixtures.py checks each
+step of this on the four corpora.
 """
 
 from __future__ import annotations
-
-import json
-from importlib import resources
 
 from .exactla import FieldSpec
 from .algebra import (
     Algebra, AlgebraPresentation, Quiver, Representation, build_algebra,
     injective_module, make_relation, projective_module, simple_module,
 )
-from .modules import decompose
+from .modules import AlgebraMismatchError
 from .homology import syzygy
 from .bounds import Corpus, UnknownNameError
-from .fileio import FileFormatError, corpus_from_json
 
 FIXTURE_NAMES = ("A2", "LOOP2", "NAK3", "CNAK2")
 FIXTURE_FIELD_P = 101
-
-_corpus_cache: dict[str, Corpus] = {}
 
 
 def _presentation(name: str) -> AlgebraPresentation:
@@ -54,47 +58,20 @@ def fixture_algebra(name: str) -> Algebra:
     return build_algebra(_presentation(name.upper()))
 
 
-def _builtin_members(name: str) -> list[tuple[str, Representation]]:
+def fixture_corpus(name: str) -> Corpus:
+    """The complete indecomposable corpus of a fixture (see the module
+    docstring for why it is complete and each member indecomposable).  Each
+    call builds a new Corpus; its members are the algebra's own modules."""
+    name = name.upper()
     alg = fixture_algebra(name)
-    members = [(f"S{alg.quiver.vertices[v]}", simple_module(alg, v))
-               for v in range(alg.vertex_count)]
+    vnames = alg.quiver.vertices
+    members = [(f"S{vnames[v]}", simple_module(alg, v)) for v in range(alg.vertex_count)]
     for v in range(alg.vertex_count):
         proj = projective_module(alg, v)
         if proj.total_dim > 1:  # simple projectives are already listed
-            members.append((f"P{alg.quiver.vertices[v]}", proj))
-    return members
-
-
-def build_fixture_corpus(name: str) -> Corpus:
-    """The complete indecomposable corpus, constructed in code; the shipped
-    data file is its canonical serialization."""
-    name = name.upper()
-    alg = fixture_algebra(name)
-    return Corpus(alg, tuple(_builtin_members(name)),
+            members.append((f"P{vnames[v]}", proj))
+    return Corpus(alg, tuple(members),
                   {"kind": "fixture-indecomposables", "fixture": name, "complete": True})
-
-
-def fixture_corpus(name: str) -> Corpus:
-    """Load and validate the shipped indecomposable corpus for a fixture.
-
-    Validation decomposes every member and rejects anything that is not
-    certified indecomposable.
-    """
-    name = name.upper()
-    if name in _corpus_cache:
-        return _corpus_cache[name]
-    if name not in FIXTURE_NAMES:
-        raise UnknownNameError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
-    text = resources.files("extbound").joinpath(
-        f"fixtures/{name.lower()}_indecomposables.json").read_text()
-    corpus = corpus_from_json(json.loads(text), where=f"fixture {name}")
-    for member_name, rep in corpus:
-        dec = decompose(rep)
-        if not dec.determined or len(dec.copies) != 1:
-            raise FileFormatError(
-                f"fixture {name}: member {member_name} is not certified indecomposable")
-    _corpus_cache[name] = corpus
-    return corpus
 
 
 def fixture_module(fixture: str, module_name: str) -> Representation:
@@ -109,7 +86,7 @@ def generate_corpus(algebra: Algebra, spec: str, *,
                     seeds: list[tuple[str, Representation]] | None = None,
                     depth: int = 3, fixture: str | None = None) -> Corpus:
     """Deterministic standard corpora: simples, projectives, injectives, the
-    syzygy closure of seed modules to a given depth, or a fixture's shipped
+    syzygy closure of seed modules to a given depth, or a fixture's complete
     indecomposable list."""
     vnames = algebra.quiver.vertices
     if spec == "simples":
@@ -133,7 +110,7 @@ def generate_corpus(algebra: Algebra, spec: str, *,
         seen: set = set()
         for seed_name, seed in seeds:
             if seed.algebra is not algebra:
-                raise ValueError("seed module over a different algebra")
+                raise AlgebraMismatchError(f"seed module {seed_name} is over a different algebra")
             for j in range(depth + 1):
                 syz = syzygy(seed, j)
                 if syz.is_zero or syz in seen:
@@ -146,12 +123,14 @@ def generate_corpus(algebra: Algebra, spec: str, *,
     if spec == "fixture-indecomposables":
         if fixture is None:
             raise ValueError("fixture-indecomposables needs the fixture name")
-        return fixture_corpus(fixture)
+        corpus = fixture_corpus(fixture)
+        if corpus.algebra is not algebra:
+            raise AlgebraMismatchError(f"fixture {fixture.upper()} is over a different algebra")
+        return corpus
     raise ValueError(f"unknown corpus spec {spec!r}; one of {', '.join(CORPUS_SPECS)}")
 
 
 __all__ = [
     "FIXTURE_NAMES", "FIXTURE_FIELD_P", "CORPUS_SPECS",
-    "fixture_algebra", "fixture_corpus", "fixture_module",
-    "build_fixture_corpus", "generate_corpus",
+    "fixture_algebra", "fixture_corpus", "fixture_module", "generate_corpus",
 ]

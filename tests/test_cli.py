@@ -186,6 +186,38 @@ def test_corpus_fixture_indecomposables(capsys, tmp_path):
     assert load_corpus(str(out_path)).names() == ["S1", "S2", "P1"]
 
 
+# sha256 of each corpus file as the package used to ship it
+_FIXTURE_CORPUS_SHA256 = {
+    "A2": "3820e52bf9d03fe58eebd9a68e14e271ea54dce4186001c3c3499fd5bcaeb178",
+    "LOOP2": "a6b09319f19f9b2479b9256f345d694f4ac22d4cb33df736b4b413382f7ef393",
+    "NAK3": "b6e60e12daf4bd87550236c8c8daf3458ad9b440e7fb9b43663748966498a909",
+    "CNAK2": "a88824dc881c66da8b3be883754d5ae54b45bcdeb2ac1b8723afc4abc46f9572",
+}
+
+
+def test_fixture_corpus_files_keep_their_bytes(capsys, tmp_path):
+    import hashlib
+    for name, digest in _FIXTURE_CORPUS_SHA256.items():
+        out_path = tmp_path / f"{name}.json"
+        code, _, _ = run(capsys, "corpus", "--algebra", f"builtin:{name}",
+                         "--spec", "fixture-indecomposables", "--fixture", name,
+                         "--out", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["--spec", "fixture-indecomposables", "--fixture", "NAK3"],
+    ["--spec", "syzygy-closure", "--seed-module", "builtin:NAK3:S1"],
+], ids=["fixture", "seed-module"])
+def test_corpus_over_another_algebra_exit_3(capsys, tmp_path, argv):
+    out_path = tmp_path / "f.json"
+    code, _, err = run(capsys, "corpus", "--algebra", "builtin:A2", *argv,
+                       "--out", str(out_path))
+    assert code == 3 and "error:" in err and "different algebra" in err
+    assert not out_path.exists()
+
+
 def test_corpus_syzygy_closure(capsys, tmp_path, nak3):
     seed_path = tmp_path / "s1.json"
     save_module(eb.simple_module(nak3, 0), str(seed_path), name="S1")

@@ -42,15 +42,16 @@ def test_module_file_with_algebra_path(tmp_path, nak3):
 
 
 def test_corpus_roundtrip(tmp_path, corpora):
-    corpus = corpora["CNAK2"]
     path = tmp_path / "corpus.json"
-    save_corpus(corpus, str(path))
-    back = load_corpus(str(path))
-    assert back.names() == corpus.names()
-    assert all(back.get(n) == corpus.get(n) for n in corpus.names())
-    first = path.read_bytes()
-    save_corpus(back, str(path))
-    assert path.read_bytes() == first
+    for corpus in corpora.values():
+        save_corpus(corpus, str(path))
+        back = load_corpus(str(path))
+        assert back.names() == corpus.names()
+        assert back.provenance == corpus.provenance
+        assert all(back.get(n) == corpus.get(n) for n in corpus.names())
+        first = path.read_bytes()
+        save_corpus(back, str(path))
+        assert path.read_bytes() == first
 
 
 def test_rational_entries_roundtrip(tmp_path):
@@ -101,14 +102,3 @@ def test_corpus_rejects_duplicate_names(corpora):
     data["modules"].append(dict(data["modules"][0]))
     with pytest.raises(FileFormatError, match="duplicate"):
         corpus_from_json(data)
-
-
-def test_shipped_fixture_files_match_code(corpora):
-    # the shipped data is exactly the canonical serialization of the
-    # code-built corpora
-    from importlib import resources
-    for name in eb.FIXTURE_NAMES:
-        shipped = resources.files("extbound").joinpath(
-            f"fixtures/{name.lower()}_indecomposables.json").read_text()
-        built = dumps_canonical(corpus_to_json(eb.build_fixture_corpus(name)))
-        assert shipped == built

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 import extbound as eb
@@ -1162,3 +1164,19 @@ def test_cokernel_rejects_a_projection_that_does_not_intertwine(monkeypatch, loo
                         lambda m: eb.Matrix.from_rows(m.field, [[1], [0]]))
     with pytest.raises(eb.InternalCheckError, match="not well defined"):
         eb.cokernel(eb.ModuleMap.zero(p, p))
+
+
+# a fresh algebra per build order: clear_caches keeps the projectives built
+@pytest.mark.parametrize("order,p", zip(permutations(range(3)),
+                                        (10007, 10009, 10037, 10039, 10061, 10067)))
+def test_a_projective_equal_to_a_simple_and_a_syzygy_is_one_object(order, p):
+    # over A2, S(2) is projective and equals the radical of P(1)
+    quiver = eb.Quiver.build(["1", "2"], [("a", "1", "2")])
+    alg = eb.build_algebra(eb.AlgebraPresentation(eb.FieldSpec.prime(p), quiver, (), 2))
+    assert not alg._projectives and not alg._module_memo
+    builders = (lambda: eb.syzygy(eb.simple_module(alg, 0), 1),
+                lambda: eb.simple_module(alg, 1),
+                lambda: eb.projective_module(alg, 1))
+    built = [builders[k]() for k in order]
+    assert built[0] is built[1] is built[2]
+    assert eb.injective_module(alg, 0) is eb.injective_module(alg, 0)

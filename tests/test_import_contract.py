@@ -82,3 +82,13 @@ def test_every_public_name_is_the_object_its_layer_defines():
     assert "cli" in dir(eb) and eb.cli is importlib.import_module("extbound.cli")
     with pytest.raises(AttributeError):
         eb.no_such_name
+
+
+def test_a_fixture_corpus_loads_bounds_and_fixtures_but_not_fileio():
+    loaded = _fresh("""
+import json, sys
+import extbound
+extbound.fixture_corpus("A2")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "extbound")))
+""")
+    assert loaded == sorted(CORE + ["extbound.bounds", "extbound.fixtures"])
