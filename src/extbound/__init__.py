@@ -21,15 +21,14 @@ from .exactla import (
 from .algebra import (
     Algebra, AlgebraPresentation, Arrow, NilpotencyBoundError, Path,
     PresentationError, Quiver, Representation, build_algebra, direct_sum,
-    direct_sum_with_maps, dual_module, injective_module, make_relation,
-    opposite, path_action, projective_module, regular_module, simple_module,
-    zero_representation,
+    dual_module, injective_module, make_relation, opposite, path_action,
+    projective_module, regular_module, simple_module, zero_representation,
 )
 from .modules import (
     AddMembership, AlgebraMismatchError, Decomposition, InternalCheckError,
-    IsoResult, ModuleMap, cokernel, decompose, end_basis, hom_basis, image,
-    in_add, in_add_family, is_isomorphic, kernel, projective_cover, radical,
-    top_multiplicities,
+    IsoResult, ModuleMap, cokernel, decompose, direct_sum_with_maps,
+    end_basis, hom_basis, image, in_add, in_add_family, is_isomorphic,
+    kernel, projective_cover, radical, top_multiplicities,
 )
 from .homology import (
     ExtTable, MinimalResolution, OnsetResult, PdAtLeast, PdFinite,

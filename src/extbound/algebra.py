@@ -298,11 +298,15 @@ class Algebra:
         table (_canonical_module), which grows with every module built
         until it is cleared.  They refill on demand with equal values.  The
         projective and regular modules stay, as the algebra's own modules,
-        and so does the opposite algebra."""
+        and so does the opposite algebra; each kept projective goes back
+        into the emptied module table, so a module built later equal to it
+        is that same object."""
         for memo in (self._step_memo, self._hom_memo, self._ext_memo,
                      self._rank_memo, self._pd_memo, self._onset_memo,
                      self._module_memo):
             memo.clear()
+        for rep in self._projectives.values():
+            _canonical_module(rep)
 
     def multiply_basis(self, i: int, j: int) -> tuple[tuple[int, Scalar], ...]:
         """Structure constants of basis[i] * basis[j] (apply j first, then i)."""
@@ -534,7 +538,8 @@ def zero_representation(algebra: Algebra) -> Representation:
 
 def direct_sum(reps: Sequence[Representation]) -> Representation:
     """Block-diagonal direct sum, summands in order at every vertex
-    (direct_sum_with_maps adds the canonical maps).
+    (modules.direct_sum_with_maps adds the canonical inclusions and
+    projections, which are module maps).
 
     The sum is valid by construction and is built without the relation
     re-check: a path acts on the sum block by block, as it acts on each
@@ -564,34 +569,6 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
             co += r.dims[a.source]
         mats.append(Matrix._trusted(fld, rows_t, cols_s, tuple(block)))
     return Representation._trusted(alg, dims, tuple(mats))
-
-
-def direct_sum_with_maps(reps: Sequence[Representation]):
-    """Block-diagonal direct sum plus the canonical inclusions and projections."""
-    from .modules import ModuleMap  # late import: modules depends on this file
-
-    reps = list(reps)
-    total = direct_sum(reps)
-    alg, dims = total.algebra, total.dims
-    fld = alg.field
-    incls, projs = [], []
-    offset = [0] * alg.vertex_count
-    for r in reps:
-        inc_mats, proj_mats = [], []
-        for v in range(alg.vertex_count):
-            d, dd = r.dims[v], dims[v]
-            inc = [[fld.zero] * d for _ in range(dd)]
-            prj = [[fld.zero] * dd for _ in range(d)]
-            for k in range(d):
-                inc[offset[v] + k][k] = fld.one
-                prj[k][offset[v] + k] = fld.one
-            inc_mats.append(Matrix.from_rows(fld, inc) if dd else Matrix.zeros(fld, 0, d))
-            proj_mats.append(Matrix.from_rows(fld, prj) if d else Matrix.zeros(fld, 0, dd))
-        incls.append(ModuleMap(r, total, tuple(inc_mats)))
-        projs.append(ModuleMap(total, r, tuple(proj_mats)))
-        for v in range(alg.vertex_count):
-            offset[v] += r.dims[v]
-    return total, incls, projs
 
 
 def projective_module(algebra: Algebra, vertex: int) -> Representation:

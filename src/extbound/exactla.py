@@ -451,7 +451,9 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def rank(m: Matrix) -> int:
-    return rref(m).rank
+    """The pivot count of the echelon form rref reads, without the padded
+    reduced matrix."""
+    return len(_row_echelon(m).pivots)
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:

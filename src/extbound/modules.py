@@ -1,6 +1,8 @@
 """Morphisms and module-category operations for quiver representations.
 
-Covers hom-space bases, add-membership via the trace criterion, a certified
+Covers module maps (ModuleMap, and the canonical inclusions and
+projections of a direct sum), hom-space bases, add-membership via the trace
+criterion with a split witness checked as sum_i v_i u_i = 1, a certified
 isomorphism test, Fitting decomposition into indecomposables, radicals and
 tops, and minimal projective covers (syzygies are read from the minimal
 resolutions in homology).  A true/false answer from the certified routines
@@ -42,8 +44,8 @@ from .exactla import (
     Echelon, Matrix, column_space_basis, hstack, inverse, kernel_basis, rank, solve,
 )
 from .algebra import (
-    Algebra, Path, Representation, _canonical_module, direct_sum, direct_sum_with_maps,
-    path_action, projective_module, zero_representation,
+    Algebra, Path, Representation, _canonical_module, direct_sum, path_action,
+    projective_module, zero_representation,
 )
 
 
@@ -163,6 +165,26 @@ class ModuleMap:
         return all(m.rows == m.cols and rank(m) == m.rows for m in self.vertex_maps)
 
 
+def direct_sum_with_maps(reps: Sequence[Representation]):
+    """Block-diagonal direct sum (algebra.direct_sum) plus the canonical
+    inclusions and projections, built with the checked constructor: at each
+    vertex a summand's inclusion is the identity onto its rows of the sum,
+    and its projection is the transpose."""
+    reps = list(reps)
+    total = direct_sum(reps)
+    fld = total.algebra.field
+    incls, projs = [], []
+    offset = [0] * len(total.dims)
+    for r in reps:
+        incl = tuple(Matrix(fld, dd, d, tuple(fld.one if i == off + j else fld.zero
+                                              for i in range(dd) for j in range(d)))
+                     for d, dd, off in zip(r.dims, total.dims, offset))
+        incls.append(ModuleMap(r, total, incl))
+        projs.append(ModuleMap(total, r, tuple(m.transpose() for m in incl)))
+        offset = [off + d for off, d in zip(offset, r.dims)]
+    return total, incls, projs
+
+
 def hom_basis(source: Representation, target: Representation) -> list[ModuleMap]:
     """Canonical basis of Hom(source, target).
 
@@ -226,36 +248,26 @@ def end_basis(rep: Representation) -> list[ModuleMap]:
 class AddMembership:
     """Outcome of the trace test for membership in add(T).
 
-    When positive, u_maps/v_maps are the components of a split witness
-    through a finite power of T; assembled() builds the actual maps
-    u: C -> T^n and v: T^n -> C with v after u the identity.
+    When positive, the witness is the maps u_i: C -> T and v_i: T -> C with
+    sum_i v_i u_i the identity of C, so C is a direct summand of T^n through
+    u = (u_i) and v = (v_i); the zero module has the empty witness.
     """
 
     member: bool
     u_maps: tuple[ModuleMap, ...] = ()
     v_maps: tuple[ModuleMap, ...] = ()
 
-    def assembled(self) -> tuple[ModuleMap, ModuleMap] | None:
-        """The split maps through the explicit direct sum of the targets."""
-        if not self.member or not self.u_maps:
-            return None
-        _, incls, projs = direct_sum_with_maps([u.target for u in self.u_maps])
-        u_total = v_total = None
-        for u, v, incl, proj in zip(self.u_maps, self.v_maps, incls, projs):
-            u_piece = incl @ u
-            v_piece = v @ proj
-            u_total = u_piece if u_total is None else u_total + u_piece
-            v_total = v_piece if v_total is None else v_total + v_piece
-        return u_total, v_total
-
     def verify(self) -> bool:
-        if not self.member:
-            return True
-        if not self.u_maps:
+        """Recheck sum_i v_i u_i = 1_C exactly.  With the canonical maps of
+        T^n, v u = sum_{i,j} v_i proj_i incl_j u_j and proj_i incl_j is
+        delta_ij, so this is the statement v u = 1 itself."""
+        if not self.member or not self.u_maps:
             return True  # the zero module splits through the empty sum
-        u_total, v_total = self.assembled()
-        ident = ModuleMap.identity(u_total.source)
-        return (v_total @ u_total).flatten() == ident.flatten()
+        total = None
+        for u, v in zip(self.u_maps, self.v_maps):
+            term = v @ u
+            total = term if total is None else total + term
+        return total.flatten() == ModuleMap.identity(total.source).flatten()
 
 
 def in_add(candidate: Representation, t_module: Representation) -> AddMembership:

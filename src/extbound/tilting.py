@@ -12,16 +12,15 @@ from dataclasses import dataclass
 
 from .exactla import Matrix, rank
 from .algebra import (
-    Representation, direct_sum, direct_sum_with_maps, opposite,
-    regular_module, zero_representation,
+    Representation, direct_sum, opposite, regular_module, zero_representation,
 )
 from .modules import (
     AddMembership, AlgebraMismatchError, InternalCheckError, ModuleMap,
-    cokernel, decompose, hom_basis, in_add,
+    cokernel, decompose, direct_sum_with_maps, hom_basis, in_add,
 )
 from .homology import (
     OnsetResult, PdFinite, PdPeriodic, PdResult, injective_dimension,
-    projective_dimension, vanishing_onset,
+    projective_dimension, syzygy, vanishing_onset,
 )
 from .bounds import (
     CertUndetermined, Corpus, FinitePdCertificate, PdBound,
@@ -37,25 +36,26 @@ def left_add_approximation(x_mod: Representation, t_mod: Representation) -> Modu
     with the indecomposable summands of T when its decomposition certifies,
     whole copies of T otherwise) and is then pruned greedily: a copy is
     dropped whenever Hom(T_0, T) still surjects onto Hom(X, T) without it.
+    Each copy's composites g h, for g in the basis of Hom(piece, T), are
+    computed once with the copy; a trial ranks the stored rows of the copies
+    it keeps.
     """
     if x_mod.algebra is not t_mod.algebra:
         raise AlgebraMismatchError("approximation arguments over different algebras")
+    fld = x_mod.algebra.field
     dec = decompose(t_mod)
     pieces = [fac for fac, _ in dec.factors] if dec.determined else [t_mod]
     target_homs = hom_basis(x_mod, t_mod)
-    blocks: list[tuple[Representation, ModuleMap]] = []
+    blocks: list[tuple[Representation, ModuleMap, list[tuple]]] = []
     for piece in pieces:
+        gs = hom_basis(piece, t_mod)
         for h in hom_basis(x_mod, piece):
-            blocks.append((piece, h))
+            blocks.append((piece, h, [(g @ h).flatten() for g in gs]))
 
     def is_surjective_onto_homs(selected) -> bool:
         if not target_homs:
             return True
-        fld = x_mod.algebra.field
-        rows = []
-        for piece, h in selected:
-            for g in hom_basis(piece, t_mod):
-                rows.append((g @ h).flatten())
+        rows = [row for _, _, block_rows in selected for row in block_rows]
         if not rows:
             return False
         return rank(Matrix.from_rows(fld, rows)) == len(target_homs)
@@ -72,9 +72,9 @@ def left_add_approximation(x_mod: Representation, t_mod: Representation) -> Modu
             i += 1
     if not kept:
         return ModuleMap.zero(x_mod, zero_representation(x_mod.algebra))
-    total, incls, _ = direct_sum_with_maps([piece for piece, _ in kept])
+    total, incls, _ = direct_sum_with_maps([piece for piece, _, _ in kept])
     phi = None
-    for (piece, h), incl in zip(kept, incls):
+    for (_, h, _), incl in zip(kept, incls):
         term = incl @ h
         phi = term if phi is None else phi + term
     return phi
@@ -396,7 +396,10 @@ def arc_scan(corpus: Corpus, cutoff: int) -> ArcScanReport:
     """Scan corpus members for Auslander-Reiten style counterexamples.
 
     For each member M the generator G = M + A is tested: a certified
-    self-orthogonal G with non-projective M violates the conjecture.  The
+    self-orthogonal G with non-projective M violates the conjecture.  M is
+    projective exactly when its first syzygy is zero: the minimal cover
+    P -> M is certified surjective and minimal (homology._resolution_step),
+    so its kernel is zero exactly when M is isomorphic to P.  The
     generalized variant (eventual self-vanishing forces finite projective
     dimension) is scored through the finite-pd certificate.
     """
@@ -406,7 +409,7 @@ def arc_scan(corpus: Corpus, cutoff: int) -> ArcScanReport:
     for name, rep in corpus:
         gen = direct_sum([rep, reg])
         selforth = is_selforthogonal(gen, cutoff)
-        projective = in_add(rep, reg).member
+        projective = syzygy(rep, 1).is_zero
         violation = selforth.status == "certified_true" and not projective
         if violation:
             violations.append(name)

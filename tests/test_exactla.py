@@ -220,6 +220,12 @@ def test_rref_matches_reference(m):
 
 
 @settings(deadline=None, max_examples=100)
+@given(matrices(max_dim=6))
+def test_rank_counts_the_pivots_of_rref(m):
+    assert rank(m) == rref(m).rank == len(reference_rref(m)[1])
+
+
+@settings(deadline=None, max_examples=100)
 @given(matrices(max_dim=5), st.lists(st.integers(-6, 6), min_size=5, max_size=5))
 def test_echelon_add_and_reduce(m, raw):
     ech = Echelon(m.field)

@@ -617,7 +617,11 @@ def test_clear_caches_empties_the_memos_and_keeps_results(corpora):
     assert memos and all(memos)
     alg.clear_caches()
     for memo in memos:
-        assert memo == {}
+        if memo is alg._module_memo:  # the kept projectives go back in
+            assert memo == {p: p for p in projectives.values()}
+            assert all(memo[p] is p for p in projectives.values())
+        else:
+            assert memo == {}
     assert alg._projectives == projectives and alg._regular is regular
     after = (eb.ext_table(s1, s2, 6).dims, eb.projective_dimension(s1, 6),
              len(eb.hom_basis(s1, eb.regular_module(alg))), eb.vanishing_onset(s1, s2, 6),
@@ -709,6 +713,16 @@ def test_a_syzygy_equal_to_a_simple_is_that_simple(nak3):
     assert om == s2 and om is not s2  # a new table: the syzygy came first
     assert eb.simple_module(nak3, 1) is om
     assert eb.minimal_resolution(eb.simple_module(nak3, 0), 2).inclusions[0].source is om
+
+
+def test_a_kept_projective_is_the_table_object_after_a_clear():
+    # a new NAK3, so no earlier test put a module equal to P(3) in its
+    # table; the radical of P(2) is S(3), which is P(3)
+    alg = eb.fixture_algebra("NAK3")
+    p3 = eb.projective_module(alg, 2)
+    alg.clear_caches()
+    assert eb.syzygy(eb.simple_module(alg, 1), 1) is p3
+    assert eb.simple_module(alg, 2) is p3
 
 
 def test_the_double_dual_of_a_built_module_is_the_module(corpora):

@@ -118,10 +118,44 @@ def test_decompose_factors_recompose_up_to_iso(corpora):
 
 def test_in_add_assembled_witness(a2):
     s2 = eb.simple_module(a2, 1)
-    result = eb.in_add(s2, eb.regular_module(a2))
-    u, v = result.assembled()
-    assert (v @ u).flatten() == ModuleMap.identity(s2).flatten()
-    assert u.target.total_dim == len(result.u_maps) * eb.regular_module(a2).total_dim
+    reg = eb.regular_module(a2)
+    result = eb.in_add(s2, reg)
+    assert result.member and result.u_maps and result.verify()
+    ident = ModuleMap.identity(s2).flatten()
+    # the definition verify() checks: sum_i v_i u_i = 1
+    total = None
+    for u, v in zip(result.u_maps, result.v_maps):
+        assert (u.source, u.target, v.source, v.target) == (s2, reg, reg, s2)
+        total = v @ u if total is None else total + v @ u
+    assert total.flatten() == ident
+    # the same witness assembled through T^n: v u = 1 for u = sum incl_i u_i
+    # and v = sum v_i proj_i
+    power, incls, projs = eb.direct_sum_with_maps([u.target for u in result.u_maps])
+    assert power.total_dim == len(result.u_maps) * reg.total_dim
+    u_total = v_total = None
+    for u, v, incl, proj in zip(result.u_maps, result.v_maps, incls, projs):
+        u_total = incl @ u if u_total is None else u_total + incl @ u
+        v_total = v @ proj if v_total is None else v_total + v @ proj
+    assert (v_total @ u_total).flatten() == ident
+
+
+def test_in_add_verify_rejects_a_scaled_witness(corpora):
+    # each v_i u_i of a witness is a nonzero composite, so scaling one v_i
+    # by 2 moves the sum off the identity (by v_i u_i, or by -v_i u_i in
+    # characteristic 2)
+    rejected = 0
+    for corpus in corpora.values():
+        reg = eb.regular_module(corpus.algebra)
+        for _, rep in corpus:
+            for t_mod in (rep, reg):
+                result = eb.in_add(rep, t_mod)
+                assert result.verify()
+                for i in range(len(result.v_maps)):
+                    v_maps = list(result.v_maps)
+                    v_maps[i] = v_maps[i].scale(2)
+                    assert not eb.AddMembership(True, result.u_maps, tuple(v_maps)).verify()
+                    rejected += 1
+    assert rejected
 
 
 def test_decompose_split_maps_recompose(nak3):

@@ -1,7 +1,8 @@
 """The package runtime imports only the standard library and itself, never
 the random module (every computation is deterministic), and imports at
-module top except where a function-local import breaks an import cycle or
-the package imports an upper layer on first use."""
+module top except where the package imports an upper layer on first use.
+No import statement sits inside a function: the package has no import
+cycle to break."""
 
 import ast
 import sys
@@ -9,9 +10,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "extbound"
 
-# (file, function) pairs whose local import breaks a cycle: modules imports
-# algebra at top level, so algebra reaches ModuleMap only at call time
-CYCLE_BREAKERS = {("algebra.py", "direct_sum_with_maps")}
 # (file, function) pairs that import by call: the package's __getattr__
 # imports an upper layer on first use of one of its names
 DEFERRED_IMPORTS = {("__init__.py", "__getattr__")}
@@ -68,8 +66,7 @@ def test_imports_are_at_module_top():
                 continue
             where = (path.name, fn.name)
             for node in ast.walk(fn):
-                statement = isinstance(node, (ast.Import, ast.ImportFrom)) \
-                    and where not in CYCLE_BREAKERS
+                statement = isinstance(node, (ast.Import, ast.ImportFrom))
                 call = _is_import_call(node) and where not in DEFERRED_IMPORTS
                 if statement or call:
                     local.append(f"{path.name}:{node.lineno} in {fn.name}")

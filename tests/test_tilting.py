@@ -153,6 +153,20 @@ def test_arc_scan_marks_projectives(corpora):
     assert flags == {"S1": False, "S2": False, "S3": True, "P1": True, "P2": True}
 
 
+def test_projective_exactly_when_the_first_syzygy_is_zero(corpora):
+    # arc_scan's certificate against the trace test it replaced
+    seen = {True: 0, False: 0}
+    for corpus in corpora.values():
+        for _, rep in corpus:
+            for m_mod in (rep, eb.syzygy(rep, 1), eb.syzygy(rep, 2)):
+                for mod in (m_mod, eb.dual_module(m_mod)):
+                    projective = eb.syzygy(mod, 1).is_zero
+                    reg = eb.regular_module(mod.algebra)
+                    assert projective == eb.in_add(mod, reg).member
+                    seen[projective] += 1
+    assert all(seen.values())
+
+
 def test_gsc_values(corpora):
     expected = {"A2": 1, "LOOP2": 0, "NAK3": 2, "CNAK2": 0}
     for name, corpus in corpora.items():
