@@ -6,6 +6,10 @@ name or command line).  Reports echo the cutoff and seed they were produced
 with; every computation is deterministic, so --seed has no effect and is only
 echoed.  JSON output is canonical (sorted keys), so identical inputs give
 byte-identical reports.
+
+Each command is written once, as a row of `_COMMANDS`; the parser builds
+the arguments of the command being run only.  Every `verify` statement is a
+`bounds.StatementResult`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .homology import (
     minimal_resolution, projective_dimension, vanishing_onset,
 )
 from .bounds import (
-    UnknownNameError, corpus_bounds, left_bound, right_bound,
+    StatementResult, UnknownNameError, corpus_bounds, left_bound, right_bound,
     strongly_redundant_from, ultimately_closed_at, verify_bound_properties,
 )
 from .tilting import (
@@ -34,7 +38,7 @@ from .fileio import (
     save_corpus,
 )
 from .fixtures import (
-    FIXTURE_NAMES, fixture_algebra, fixture_corpus, fixture_module,
+    CORPUS_SPECS, FIXTURE_NAMES, fixture_algebra, fixture_corpus, fixture_module,
     generate_corpus,
 )
 
@@ -102,12 +106,13 @@ def _table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
-def _meta(args, command: str) -> dict:
-    meta = {"schema_version": SCHEMA_VERSION, "command": command}
-    for key in ("cutoff", "maxlen", "seed"):
-        if hasattr(args, key):
-            meta[key] = getattr(args, key)
-    return meta
+def _echoed(args) -> dict:
+    """The settings a report echoes, as far as the command takes them."""
+    return {k: getattr(args, k) for k in ("cutoff", "maxlen", "seed") if hasattr(args, k)}
+
+
+def _meta(args) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "command": args.command_name, **_echoed(args)}
 
 
 # ----- command handlers --------------------------------------------------------
@@ -117,7 +122,7 @@ def cmd_algebra_info(args):
     alg = _load_algebra_arg(args.algebra)
     q = alg.quiver
     basis = [p.render(q) for p in alg.basis]
-    payload = dict(_meta(args, "algebra info"),
+    payload = dict(_meta(args),
                    field={"p": alg.field.p} if alg.field.kind == "prime"
                          else {"rationals": True},
                    dim=alg.dim, vertices=list(q.vertices),
@@ -141,7 +146,7 @@ def cmd_algebra_info(args):
 def cmd_module_check(args):
     name, rep = _load_module_arg(args.module)
     dec = decompose(rep)
-    payload = dict(_meta(args, "module check"), name=name,
+    payload = dict(_meta(args), name=name,
                    dims=list(rep.dims), total_dim=rep.total_dim,
                    valid=True,
                    indecomposable_factors=(
@@ -159,7 +164,7 @@ def cmd_resolve(args):
     mults = [list(res.multiplicities(k)) for k in range(args.cutoff + 1)]
     rows = [[str(k), str(mult), str(sum(mult))] for k, mult in enumerate(mults)]
     terminated = res.terminated_at
-    payload = dict(_meta(args, "resolve"), module=name, multiplicities=mults,
+    payload = dict(_meta(args), module=name, multiplicities=mults,
                    terminated_at=terminated)
     human = _table(rows, ["degree", "multiplicities", "summands"])
     human += f"\nterminated at syzygy {terminated}" if terminated is not None \
@@ -171,7 +176,7 @@ def cmd_ext(args):
     name_m, m_mod = _load_module_arg(args.module)
     name_n, n_mod = _load_against_arg(args.against, m_mod.algebra)
     table = ext_table(m_mod, n_mod, args.cutoff)
-    payload = dict(_meta(args, "ext"), module=name_m, against=name_n,
+    payload = dict(_meta(args), module=name_m, against=name_n,
                    table=table.to_json())
     if args.format == "csv":
         return 0, payload, table.to_csv().rstrip("\n")
@@ -180,11 +185,11 @@ def cmd_ext(args):
     return 0, payload, human
 
 
-def cmd_pd(args, side="pd"):
+def cmd_pd(args):
+    side = args.command_name  # "pd" or "id"
     name, rep = _load_module_arg(args.module)
-    res = projective_dimension(rep, args.cutoff) if side == "pd" \
-        else injective_dimension(rep, args.cutoff)
-    payload = dict(_meta(args, side), module=name, result=res.to_json())
+    res = (projective_dimension if side == "pd" else injective_dimension)(rep, args.cutoff)
+    payload = dict(_meta(args), module=name, result=res.to_json())
     code = 2 if isinstance(res, PdAtLeast) else 0
     return code, payload, f"{side}({name}) = {_pd_text(res)}"
 
@@ -193,7 +198,7 @@ def cmd_onset(args):
     name_m, m_mod = _load_module_arg(args.module)
     name_n, n_mod = _load_against_arg(args.against, m_mod.algebra)
     onset = vanishing_onset(m_mod, n_mod, args.cutoff)
-    payload = dict(_meta(args, "onset"), module=name_m, against=name_n,
+    payload = dict(_meta(args), module=name_m, against=name_n,
                    result=onset.to_json())
     code = 0 if onset.certified else 2
     return code, payload, f"onset({name_m}, {name_n}) = {_onset_text(onset)}"
@@ -204,7 +209,7 @@ def cmd_ab(args):
     corpus = _load_corpus_arg(args.corpus)
     fn = left_bound if args.side == "left" else right_bound
     ab = fn(rep, corpus, args.cutoff)
-    payload = dict(_meta(args, "ab"), module=name, side=args.side,
+    payload = dict(_meta(args), module=name, side=args.side,
                    corpus=corpus.provenance, result=ab.to_json())
     rows = [[n, _onset_text(o)] for n, o in ab.pairs]
     human = (f"{args.side} Auslander bound of {name} over {len(corpus)} modules: "
@@ -215,7 +220,7 @@ def cmd_ab(args):
 def cmd_bounds(args):
     corpus = _load_corpus_arg(args.corpus)
     report = corpus_bounds(corpus, args.cutoff)
-    payload = dict(_meta(args, "bounds"), corpus=corpus.provenance,
+    payload = dict(_meta(args), corpus=corpus.provenance,
                    report=report.to_json())
     if args.format == "csv":
         lines = ["module,lab,rab,pd,id"]
@@ -237,7 +242,7 @@ def cmd_bounds(args):
 def cmd_tilting(args):
     name, rep = _load_module_arg(args.module)
     report = is_tilting(rep, args.cutoff, args.maxlen)
-    payload = dict(_meta(args, "tilting"), module=name, report=report.to_json())
+    payload = dict(_meta(args), module=name, report=report.to_json())
     if args.export_chain and report.coresolution.success:
         save_corpus(coresolution_corpus(regular_module(rep.algebra),
                                         report.coresolution), args.export_chain)
@@ -257,7 +262,7 @@ def cmd_tilting(args):
 def cmd_wakamatsu(args):
     name, rep = _load_module_arg(args.module)
     report = is_wakamatsu(rep, args.cutoff, args.maxlen)
-    payload = dict(_meta(args, "wakamatsu"), module=name, report=report.to_json())
+    payload = dict(_meta(args), module=name, report=report.to_json())
     code = 2 if report.verdict == "undetermined" else 0
     human = (f"{name}: {report.verdict}"
              + (f" ({report.reason})" if report.reason else "")
@@ -268,7 +273,7 @@ def cmd_wakamatsu(args):
 def cmd_ewtc(args):
     name, rep = _load_module_arg(args.module)
     report = ewtc_check(rep, args.cutoff, args.maxlen)
-    payload = dict(_meta(args, "ewtc"), module=name, report=report.to_json())
+    payload = dict(_meta(args), module=name, report=report.to_json())
     code = {"confirmed": 0, "not_applicable": 0,
             "undetermined": 2, "counterexample": 1}[report.status]
     return code, payload, f"{name}: {report.status} ({report.detail})"
@@ -277,7 +282,7 @@ def cmd_ewtc(args):
 def cmd_arc(args):
     corpus = _load_corpus_arg(args.corpus)
     report = arc_scan(corpus, args.cutoff)
-    payload = dict(_meta(args, "arc"), corpus=corpus.provenance,
+    payload = dict(_meta(args), corpus=corpus.provenance,
                    report=report.to_json())
     if report.violations:
         code = 1
@@ -295,7 +300,7 @@ def cmd_arc(args):
 def cmd_gsc(args):
     alg = _load_algebra_arg(args.algebra)
     report = gsc_report(alg, args.cutoff)
-    payload = dict(_meta(args, "gsc"), report=report.to_json())
+    payload = dict(_meta(args), report=report.to_json())
     if report.equal is True:
         code = 0
     elif report.equal is False:
@@ -312,7 +317,7 @@ def cmd_uc(args):
     name, rep = _load_module_arg(args.module)
     closure = ultimately_closed_at(rep, args.cutoff)
     redundant = strongly_redundant_from(rep, args.cutoff)
-    payload = dict(_meta(args, "uc"), module=name,
+    payload = dict(_meta(args), module=name,
                    ultimately_closed=closure.to_json() if closure else None,
                    strongly_redundant_from=redundant)
     human = (f"ultimately closed at: "
@@ -331,34 +336,30 @@ def cmd_corpus(args):
     corpus = generate_corpus(alg, args.spec, seeds=seeds, depth=args.depth,
                              fixture=args.fixture)
     save_corpus(corpus, args.out)
-    payload = dict(_meta(args, "corpus"), spec=args.spec, out=args.out,
+    payload = dict(_meta(args), spec=args.spec, out=args.out,
                    members=corpus.names())
     return 0, payload, f"wrote {len(corpus)} modules to {args.out}"
 
 
-def _fixture_statements(name: str, cutoff: int, maxlen: int) -> list[dict]:
+def _statement(statement: str, ok: bool, detail: str) -> StatementResult:
+    return StatementResult(statement, "pass" if ok else "fail", detail)
+
+
+def _fixture_statements(name: str, cutoff: int, maxlen: int) -> list[StatementResult]:
     corpus = fixture_corpus(name)
     alg = corpus.algebra
-    statements = []
-
-    props = verify_bound_properties(corpus, cutoff)
-    for s in props.statements:
-        statements.append({"statement": s.statement, "status": s.status,
-                           "detail": s.detail})
+    statements = list(verify_bound_properties(corpus, cutoff).statements)
 
     reg = regular_module(alg)
     tilt = is_tilting(reg, cutoff, maxlen)
-    statements.append({"statement": "regular-module-is-tilting",
-                       "status": "pass" if tilt.verdict == "tilting" else "fail",
-                       "detail": tilt.verdict})
+    statements.append(_statement("regular-module-is-tilting",
+                                 tilt.verdict == "tilting", tilt.verdict))
     wak = is_wakamatsu(reg, cutoff, maxlen)
-    statements.append({"statement": "regular-module-is-wakamatsu",
-                       "status": "pass" if wak.verdict == "wakamatsu" else "fail",
-                       "detail": wak.verdict})
+    statements.append(_statement("regular-module-is-wakamatsu",
+                                 wak.verdict == "wakamatsu", wak.verdict))
     ew = ewtc_check(reg, cutoff, maxlen)
-    statements.append({"statement": "ewtc-instance-regular",
-                       "status": "pass" if ew.status == "confirmed" else "fail",
-                       "detail": ew.detail})
+    statements.append(_statement("ewtc-instance-regular", ew.status == "confirmed",
+                                 ew.detail))
 
     if name == "A2":
         t_good = direct_sum([projective_module(alg, 0), simple_module(alg, 0)])
@@ -366,28 +367,22 @@ def _fixture_statements(name: str, cutoff: int, maxlen: int) -> list[dict]:
         ok = (rep_good.verdict == "tilting"
               and isinstance(rep_good.pd, PdFinite) and rep_good.pd.value == 1
               and rep_good.coresolution.length == 1)
-        statements.append({"statement": "a2-canonical-tilting-module",
-                           "status": "pass" if ok else "fail",
-                           "detail": f"verdict {rep_good.verdict}, "
-                                     f"pd {_pd_text(rep_good.pd)}, "
-                                     f"coresolution length "
-                                     f"{rep_good.coresolution.length}"})
-        t_bad = simple_module(alg, 0)
-        rep_bad = is_tilting(t_bad, cutoff, maxlen)
+        statements.append(_statement(
+            "a2-canonical-tilting-module", ok,
+            f"verdict {rep_good.verdict}, pd {_pd_text(rep_good.pd)}, "
+            f"coresolution length {rep_good.coresolution.length}"))
+        rep_bad = is_tilting(simple_module(alg, 0), cutoff, maxlen)
         ok = rep_bad.verdict == "not_tilting" and not rep_bad.coresolution.success
-        statements.append({"statement": "a2-simple-rejected-at-coresolution",
-                           "status": "pass" if ok else "fail",
-                           "detail": rep_bad.reason or rep_bad.verdict})
+        statements.append(_statement("a2-simple-rejected-at-coresolution", ok,
+                                     rep_bad.reason or rep_bad.verdict))
 
     arc = arc_scan(corpus, cutoff)
-    statements.append({"statement": "arc-scan-empty",
-                       "status": "pass" if not arc.violations else "fail",
-                       "detail": f"violations: {list(arc.violations) or 'none'}"})
+    statements.append(_statement("arc-scan-empty", not arc.violations,
+                                 f"violations: {list(arc.violations) or 'none'}"))
     gsc = gsc_report(alg, cutoff)
-    statements.append({"statement": "gorenstein-symmetry-instance",
-                       "status": "pass" if gsc.equal else "fail",
-                       "detail": f"left {_pd_text(gsc.id_left)}, "
-                                 f"right {_pd_text(gsc.id_right)}"})
+    statements.append(_statement("gorenstein-symmetry-instance", gsc.equal,
+                                 f"left {_pd_text(gsc.id_left)}, "
+                                 f"right {_pd_text(gsc.id_right)}"))
     return statements
 
 
@@ -407,23 +402,20 @@ def cmd_verify(args):
     for n in names:
         if n not in FIXTURE_NAMES:
             raise FileFormatError(f"unknown fixture {n!r}")
-    fixtures = {}
+    fixtures = {n: _fixture_statements(n, args.cutoff, args.maxlen) for n in names}
     totals = {"pass": 0, "fail": 0, "skipped": 0}
-    for n in names:
-        statements = _fixture_statements(n, args.cutoff, args.maxlen)
-        for s in statements:
-            totals[s["status"]] += 1
-        fixtures[n] = {"statements": statements}
-    payload = dict(_meta(args, "verify"), fixtures=fixtures, summary=totals,
-                   open_questions=list(_OPEN_QUESTIONS))
     lines = []
     for n in names:
         lines.append(f"[{n}]")
-        for s in fixtures[n]["statements"]:
-            lines.append(f"  {s['status'].upper():7s} {s['statement']}"
-                         + (f" ({s['detail']})" if s["detail"] else ""))
+        for s in fixtures[n]:
+            totals[s.status] += 1
+            lines.append(f"  {s.status.upper():7s} {s.statement}"
+                         + (f" ({s.detail})" if s.detail else ""))
     lines.append(f"summary: {totals['pass']} pass, {totals['fail']} fail, "
                  f"{totals['skipped']} skipped")
+    payload = dict(_meta(args), summary=totals, open_questions=list(_OPEN_QUESTIONS),
+                   fixtures={n: {"statements": [s.to_json() for s in statements]}
+                             for n, statements in fixtures.items()})
     return (1 if totals["fail"] else 0), payload, "\n".join(lines)
 
 
@@ -474,91 +466,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="extbound",
-        description="Homological invariants of bounded quiver algebras with "
-                    "machine-checkable certificates.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    alg = sub.add_parser("algebra", help="algebra operations")
-    alg_sub = alg.add_subparsers(dest="subcommand", required=True)
-    sp = alg_sub.add_parser("info", help="basis, dimensions and structure")
-    _add_common(sp, min_cutoff=None, algebra=True)
-    sp.set_defaults(handler=cmd_algebra_info)
-
-    mod = sub.add_parser("module", help="module operations")
-    mod_sub = mod.add_subparsers(dest="subcommand", required=True)
-    sp = mod_sub.add_parser("check", help="validate a module file")
-    _add_common(sp, min_cutoff=None, module=True)
-    sp.set_defaults(handler=cmd_module_check)
-
-    sp = sub.add_parser("resolve", help="minimal projective resolution")
-    _add_common(sp, min_cutoff=0, module=True)
-    sp.set_defaults(handler=cmd_resolve)
-
-    sp = sub.add_parser("ext", help="Ext dimension table")
-    _add_common(sp, min_cutoff=0, module=True, against=True)
-    sp.set_defaults(handler=cmd_ext)
-
-    sp = sub.add_parser("pd", help="projective dimension")
-    _add_common(sp, module=True)
-    sp.set_defaults(handler=lambda a: cmd_pd(a, "pd"))
-
-    sp = sub.add_parser("id", help="injective dimension")
-    _add_common(sp, module=True)
-    sp.set_defaults(handler=lambda a: cmd_pd(a, "id"))
-
-    sp = sub.add_parser("onset", help="certified vanishing onset of an Ext pair")
-    _add_common(sp, module=True, against=True)
-    sp.set_defaults(handler=cmd_onset)
-
-    sp = sub.add_parser("ab", help="restricted Auslander bound over a corpus")
-    _add_common(sp, module=True, corpus=True)
-    sp.add_argument("--side", choices=("left", "right"), default="left")
-    sp.set_defaults(handler=cmd_ab)
-
-    sp = sub.add_parser("bounds", help="corpus-wide bounds and finitistic statistics")
-    _add_common(sp, corpus=True)
-    sp.set_defaults(handler=cmd_bounds)
-
-    sp = sub.add_parser("tilting", help="certified tilting test")
-    _add_common(sp, module=True, maxlen=True)
-    sp.add_argument("--export-chain", default=None, metavar="FILE",
-                    help="write the coresolution chain terms as a corpus file")
-    sp.set_defaults(handler=cmd_tilting)
-
-    sp = sub.add_parser("wakamatsu", help="Wakamatsu-tilting test")
-    _add_common(sp, module=True, maxlen=True)
-    sp.set_defaults(handler=cmd_wakamatsu)
-
-    sp = sub.add_parser("ewtc", help="tilting-from-(T2)(T3) conjecture instance")
-    _add_common(sp, module=True, maxlen=True)
-    sp.set_defaults(handler=cmd_ewtc)
-
-    sp = sub.add_parser("arc", help="Auslander-Reiten conjecture scan")
-    _add_common(sp, corpus=True)
-    sp.set_defaults(handler=cmd_arc)
-
-    sp = sub.add_parser("gsc", help="Gorenstein symmetry instance")
-    _add_common(sp, algebra=True)
-    sp.set_defaults(handler=cmd_gsc)
-
-    sp = sub.add_parser("uc", help="ultimately-closed and strongly-redundant points")
-    _add_common(sp, module=True)
-    sp.set_defaults(handler=cmd_uc)
-
-    sp = sub.add_parser("verify", help="replay the property suite on fixtures")
-    _add_common(sp, maxlen=True)
-    sp.add_argument("--fixtures", default="all",
-                    help="'all' or comma-separated fixture names")
-    sp.set_defaults(handler=cmd_verify)
-
-    sp = sub.add_parser("corpus", help="generate a standard corpus file")
-    _add_common(sp, min_cutoff=None, algebra=True)
-    sp.add_argument("--spec", required=True,
-                    choices=("simples", "projectives", "injectives",
-                             "syzygy-closure", "fixture-indecomposables"))
+def _corpus_args(sp):
+    sp.add_argument("--spec", required=True, choices=CORPUS_SPECS)
     sp.add_argument("--seed-module", action="append", default=[],
                     help="seed module file (repeatable, for syzygy-closure)")
     sp.add_argument("--depth", type=_at_least(0), default=3,
@@ -566,8 +475,72 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fixture", default=None,
                     help="fixture name (for fixture-indecomposables)")
     sp.add_argument("--out", required=True)
-    sp.set_defaults(handler=cmd_corpus)
 
+
+# One row per parser, in help order: its words, help, handler, _add_common
+# options and a function adding its own further arguments.  A row without a
+# handler is a group; its commands follow it.
+_COMMANDS = (
+    (("algebra",), "algebra operations", None, None, None),
+    (("algebra", "info"), "basis, dimensions and structure", cmd_algebra_info,
+     dict(min_cutoff=None, algebra=True), None),
+    (("module",), "module operations", None, None, None),
+    (("module", "check"), "validate a module file", cmd_module_check,
+     dict(min_cutoff=None, module=True), None),
+    (("resolve",), "minimal projective resolution", cmd_resolve,
+     dict(min_cutoff=0, module=True), None),
+    (("ext",), "Ext dimension table", cmd_ext,
+     dict(min_cutoff=0, module=True, against=True), None),
+    (("pd",), "projective dimension", cmd_pd, dict(module=True), None),
+    (("id",), "injective dimension", cmd_pd, dict(module=True), None),
+    (("onset",), "certified vanishing onset of an Ext pair", cmd_onset,
+     dict(module=True, against=True), None),
+    (("ab",), "restricted Auslander bound over a corpus", cmd_ab,
+     dict(module=True, corpus=True),
+     lambda sp: sp.add_argument("--side", choices=("left", "right"), default="left")),
+    (("bounds",), "corpus-wide bounds and finitistic statistics", cmd_bounds,
+     dict(corpus=True), None),
+    (("tilting",), "certified tilting test", cmd_tilting,
+     dict(module=True, maxlen=True),
+     lambda sp: sp.add_argument(
+         "--export-chain", default=None, metavar="FILE",
+         help="write the coresolution chain terms as a corpus file")),
+    (("wakamatsu",), "Wakamatsu-tilting test", cmd_wakamatsu,
+     dict(module=True, maxlen=True), None),
+    (("ewtc",), "tilting-from-(T2)(T3) conjecture instance", cmd_ewtc,
+     dict(module=True, maxlen=True), None),
+    (("arc",), "Auslander-Reiten conjecture scan", cmd_arc, dict(corpus=True), None),
+    (("gsc",), "Gorenstein symmetry instance", cmd_gsc, dict(algebra=True), None),
+    (("uc",), "ultimately-closed and strongly-redundant points", cmd_uc,
+     dict(module=True), None),
+    (("verify",), "replay the property suite on fixtures", cmd_verify,
+     dict(maxlen=True),
+     lambda sp: sp.add_argument("--fixtures", default="all",
+                                help="'all' or comma-separated fixture names")),
+    (("corpus",), "generate a standard corpus file", cmd_corpus,
+     dict(min_cutoff=None, algebra=True), _corpus_args),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """Every command is registered with its help, but only those under the
+    first word of argv get their arguments (all do when argv is None):
+    building them all costs more than parsing one."""
+    first = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
+    parser = _Parser(
+        prog="extbound",
+        description="Homological invariants of bounded quiver algebras with "
+                    "machine-checkable certificates.")
+    where = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, help_text, handler, common, extra in _COMMANDS:
+        sp = where[words[:-1]].add_parser(words[-1], help=help_text)
+        if handler is None:
+            where[words] = sp.add_subparsers(dest="subcommand", required=True)
+        elif first in (None, words[0]):
+            _add_common(sp, **common)
+            if extra:
+                extra(sp)
+            sp.set_defaults(handler=handler, command_name=" ".join(words))
     return parser
 
 
@@ -577,7 +550,8 @@ _CORPUS_SPEC_NEEDS = {"syzygy-closure": ("seed_module", "--seed-module"),
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if args.command == "corpus":
         needed = _CORPUS_SPEC_NEEDS.get(args.spec)
@@ -593,10 +567,9 @@ def main(argv=None) -> int:
     else:
         print(human)
         if args.format == "table":
-            echo = [f"{k}={getattr(args, k)}" for k in ("cutoff", "maxlen", "seed")
-                    if hasattr(args, k)]
+            echo = " ".join(f"{k}={v}" for k, v in _echoed(args).items())
             if echo:
-                print(f"[{' '.join(echo)}]")
+                print(f"[{echo}]")
     return code
 
 

@@ -246,28 +246,40 @@ def end_basis(rep: Representation) -> list[ModuleMap]:
 
 @dataclass(frozen=True)
 class AddMembership:
-    """Outcome of the trace test for membership in add(T).
+    """Outcome of the trace test for membership of C = `module` in add(T),
+    T the direct sum of `family`.
 
-    When positive, the witness is the maps u_i: C -> T and v_i: T -> C with
-    sum_i v_i u_i the identity of C, so C is a direct summand of T^n through
+    When positive, the witness is the maps u_i: C -> T_j and v_i: T_j -> C,
+    each pair through one T_j of the family, with sum_i v_i u_i the identity
+    of C, so C is a direct summand of a finite sum of the T_j through
     u = (u_i) and v = (v_i); the zero module has the empty witness.
     """
 
     member: bool
+    module: Representation
+    family: tuple[Representation, ...]
     u_maps: tuple[ModuleMap, ...] = ()
     v_maps: tuple[ModuleMap, ...] = ()
 
     def verify(self) -> bool:
-        """Recheck sum_i v_i u_i = 1_C exactly.  With the canonical maps of
-        T^n, v u = sum_{i,j} v_i proj_i incl_j u_j and proj_i incl_j is
-        delta_ij, so this is the statement v u = 1 itself."""
-        if not self.member or not self.u_maps:
-            return True  # the zero module splits through the empty sum
+        """Recheck that each u_i runs C -> T_j and v_i runs T_j -> C for a T_j
+        of the family, and that sum_i v_i u_i = 1_C exactly.  With the
+        canonical maps of the sum, v u = sum_{i,j} v_i proj_i incl_j u_j and
+        proj_i incl_j is delta_ij, so this is the statement v u = 1 itself."""
+        if not self.member:
+            return True
+        if len(self.u_maps) != len(self.v_maps):
+            return False
+        if not self.u_maps:
+            return self.module.is_zero  # only 0 splits through the empty sum
         total = None
         for u, v in zip(self.u_maps, self.v_maps):
+            if (u.source != self.module or v.target != self.module
+                    or v.source != u.target or u.target not in self.family):
+                return False
             term = v @ u
             total = term if total is None else total + term
-        return total.flatten() == ModuleMap.identity(total.source).flatten()
+        return total.flatten() == ModuleMap.identity(self.module).flatten()
 
 
 def in_add(candidate: Representation, t_module: Representation) -> AddMembership:
@@ -290,16 +302,17 @@ def in_add_family(candidate: Representation,
     independent ones; the scan stops as soon as the identity lands in the
     span.
     """
-    for part in parts:
+    family = tuple(parts)
+    for part in family:
         _same_algebra(candidate, part)
     if candidate.is_zero:
-        return AddMembership(True)
+        return AddMembership(True, candidate, family)
     fld = candidate.algebra.field
     id_vec = list(ModuleMap.identity(candidate).flatten())
     span = Echelon(fld)
     independent: list[tuple[ModuleMap, ModuleMap, tuple]] = []
     found = False
-    for part in parts:
+    for part in family:
         if part.is_zero:
             continue
         us = hom_basis(candidate, part)
@@ -317,7 +330,7 @@ def in_add_family(candidate: Representation,
         if found:
             break
     if not found:
-        return AddMembership(False)
+        return AddMembership(False, candidate, family)
     cols = [flat for _, _, flat in independent]
     system = Matrix.from_columns(fld, cols, nrows=len(id_vec))
     coeffs = solve(system, tuple(id_vec))
@@ -328,7 +341,7 @@ def in_add_family(candidate: Representation,
         if c != 0:
             u_used.append(u)
             v_used.append(v.scale(c))
-    result = AddMembership(True, tuple(u_used), tuple(v_used))
+    result = AddMembership(True, candidate, family, tuple(u_used), tuple(v_used))
     if not result.verify():
         raise InternalCheckError("add-membership witness failed to recompose the identity")
     return result

@@ -87,6 +87,7 @@ class CoresolutionResult:
     built ("approximation not injective" is a certified failure, exceeding
     maxlen is not)."""
 
+    t_module: Representation
     success: bool
     terms: tuple[tuple[Representation, AddMembership], ...]
     first_map: ModuleMap | None
@@ -99,11 +100,13 @@ class CoresolutionResult:
         return len(self.terms) - 1
 
     def verify(self) -> bool:
-        """Recheck exactness by rank arithmetic and every add witness."""
+        """Recheck exactness by rank arithmetic and every add witness, each
+        for its own term against T."""
         if not self.success:
             return True
-        for _, witness in self.terms:
-            if not witness.verify():
+        for term, witness in self.terms:
+            if (witness.module != term or witness.family != (self.t_module,)
+                    or not witness.member or not witness.verify()):
                 return False
         f = self.first_map
         if not f.is_injective:
@@ -149,7 +152,7 @@ def coresolution_in_add(x_mod: Representation, t_mod: Representation,
         raise ValueError("maxlen must be >= 0")
     initial = in_add(x_mod, t_mod)
     if initial.member:
-        return CoresolutionResult(True, ((x_mod, initial),),
+        return CoresolutionResult(t_mod, True, ((x_mod, initial),),
                                   ModuleMap.identity(x_mod), ())
     terms: list[tuple[Representation, AddMembership]] = []
     stage_maps: list[ModuleMap] = []  # phi_i : X_i -> T_i
@@ -158,7 +161,7 @@ def coresolution_in_add(x_mod: Representation, t_mod: Representation,
     for stage in range(maxlen):
         phi = left_add_approximation(current, t_mod)
         if not phi.is_injective:
-            return CoresolutionResult(False, (), None, (), failure_stage=stage,
+            return CoresolutionResult(t_mod, False, (), None, (), failure_stage=stage,
                                       reason="approximation not injective")
         witness = in_add(phi.target, t_mod)
         if not witness.member:
@@ -174,12 +177,13 @@ def coresolution_in_add(x_mod: Representation, t_mod: Representation,
             for i in range(len(stage_maps) - 1):
                 maps.append(stage_maps[i + 1] @ projections[i])
             maps.append(projections[-1])
-            result = CoresolutionResult(True, tuple(terms), stage_maps[0], tuple(maps))
+            result = CoresolutionResult(t_mod, True, tuple(terms), stage_maps[0],
+                                        tuple(maps))
             if not result.verify():
                 raise InternalCheckError("constructed coresolution failed verification")
             return result
         current = coker
-    return CoresolutionResult(False, (), None, (), failure_stage=maxlen,
+    return CoresolutionResult(t_mod, False, (), None, (), failure_stage=maxlen,
                               reason="maxlen exceeded")
 
 

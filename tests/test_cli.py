@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -381,3 +384,66 @@ def test_internal_key_error_is_not_an_input_error(monkeypatch):
     monkeypatch.setattr(cli, "projective_dimension", broken)
     with pytest.raises(KeyError):
         main(["pd", "--module", "builtin:NAK3:S1"])
+
+
+def _help_sections():
+    """(words, text) for each parser in data/cli_help.txt, the --help output of
+    the top level, both groups and every command as recorded at 80 columns."""
+    text = (Path(__file__).parent / "data" / "cli_help.txt").read_text()
+    sections = []
+    for chunk in text.split("### extbound ")[1:]:
+        header, _, body = chunk.partition("\n")
+        sections.append((header.split()[:-1], body))
+    return sections
+
+
+def _help_of(parse, words):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+        parse([*words, "--help"])
+    assert exc.value.code == 0
+    return buf.getvalue()
+
+
+def test_help_sections_cover_every_parser():
+    from extbound.cli import _COMMANDS
+    assert [words for words, _ in _help_sections()] == \
+        [[]] + [list(row[0]) for row in _COMMANDS]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help text recorded with Python 3.11's argparse")
+def test_help_matches_the_recorded_text(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for words, recorded in _help_sections():
+        assert _help_of(main, words) == recorded, words
+
+
+def test_parser_built_for_one_command_helps_as_the_whole_parser(monkeypatch):
+    # main builds only the arguments of the command argv names; the help of
+    # every parser must read as it does with all commands built
+    from extbound.cli import build_parser
+    monkeypatch.setenv("COLUMNS", "80")
+    whole = build_parser()
+    for words, _ in _help_sections():
+        assert _help_of(main, words) == _help_of(whole.parse_args, words), words
+
+
+def test_verify_table_matches_golden_text(capsys):
+    golden = (Path(__file__).parent / "data" / "verify_fixtures_all_c12.txt").read_text()
+    code, out, _ = run(capsys, "verify", "--fixtures", "all", "--cutoff", "12")
+    assert code == 0
+    assert out == golden
+
+
+def test_corpus_injectives_round_trips(capsys, tmp_path, nak3):
+    from extbound.fileio import load_corpus
+    out_path = tmp_path / "injectives.json"
+    code, out, _ = run(capsys, "corpus", "--algebra", "builtin:NAK3",
+                       "--spec", "injectives", "--out", str(out_path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["members"] == ["I1", "I2", "I3"]
+    corpus = load_corpus(str(out_path))
+    assert corpus.algebra is nak3
+    assert [(n, rep) for n, rep in corpus] == \
+        [(f"I{v + 1}", eb.injective_module(nak3, v)) for v in range(3)]

@@ -1,7 +1,8 @@
 """The fixture corpora are built in code.  These tests are the certificate
 behind their provenance "complete": every member is indecomposable, the
 members are pairwise non-isomorphic, and there are as many of them as the
-algebra has indecomposables (the argument is in the fixtures docstring)."""
+algebra has indecomposables (the argument is in the fixtures docstring).
+The standard corpora of `generate_corpus` are tested here too."""
 
 from itertools import combinations
 
@@ -65,3 +66,15 @@ def test_each_call_builds_a_corpus_of_the_algebras_own_modules():
     assert first.provenance == {"kind": "fixture-indecomposables", "fixture": "NAK3",
                                 "complete": True}
 
+
+
+def test_projective_and_injective_corpora_hold_the_algebras_own_modules(corpora):
+    for corpus in corpora.values():
+        alg = corpus.algebra
+        vertices = alg.quiver.vertices
+        for spec, prefix, build in (("projectives", "P", eb.projective_module),
+                                    ("injectives", "I", eb.injective_module)):
+            made = eb.generate_corpus(alg, spec)
+            assert made.provenance == {"kind": spec}
+            assert made.names() == [f"{prefix}{v}" for v in vertices]
+            assert all(rep is build(alg, v) for v, (_, rep) in enumerate(made))

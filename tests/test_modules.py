@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -153,9 +154,45 @@ def test_in_add_verify_rejects_a_scaled_witness(corpora):
                 for i in range(len(result.v_maps)):
                     v_maps = list(result.v_maps)
                     v_maps[i] = v_maps[i].scale(2)
-                    assert not eb.AddMembership(True, result.u_maps, tuple(v_maps)).verify()
+                    assert not replace(result, v_maps=tuple(v_maps)).verify()
                     rejected += 1
     assert rejected
+
+
+def test_add_witness_certifies_only_its_module_against_its_family(a2):
+    t_mod = eb.direct_sum([eb.projective_module(a2, 0), eb.simple_module(a2, 0)])
+    s2 = eb.simple_module(a2, 1)
+    ident = ModuleMap.identity(s2)
+    # no maps certify only the zero module
+    assert not eb.AddMembership(True, s2, (t_mod,)).verify()
+    assert eb.AddMembership(True, eb.zero_representation(a2), (t_mod,)).verify()
+    # 1_C = 1_C 1_C, but through C itself, which is not in the family
+    assert not eb.AddMembership(True, s2, (t_mod,), (ident,), (ident,)).verify()
+    assert eb.AddMembership(True, s2, (s2,), (ident,), (ident,)).verify()
+    # an honest witness, relabelled to another module or family
+    result = eb.in_add(eb.projective_module(a2, 0), t_mod)
+    assert result.member and result.verify()
+    assert not replace(result, module=s2).verify()
+    assert not replace(result, family=(eb.regular_module(a2),)).verify()
+    assert not replace(result, u_maps=result.u_maps[:-1]).verify()
+
+
+def test_isomorphism_by_factor_matching(a2):
+    # P1^3 and the same module with its arrow matrix G invertible: Hom is
+    # 3x3 matrices, whose basis elements and pairwise sums have rank <= 2,
+    # so the isomorphism comes from matching indecomposable factors
+    p1 = eb.projective_module(a2, 0)
+    m = eb.direct_sum([p1, p1, p1])
+    g = eb.Matrix.from_rows(a2.field, [[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    n = eb.Representation(a2, m.dims, (g,))
+    assert m != n
+    homs = eb.hom_basis(m, n)
+    assert len(homs) == 9
+    assert modules._try_invertible(modules._with_pair_sums(homs)) is None
+    result = eb.is_isomorphic(m, n)
+    assert result.status == "iso"
+    witness = ModuleMap(m, n, result.witness.vertex_maps)  # re-checked
+    assert witness.is_invertible
 
 
 def test_decompose_split_maps_recompose(nak3):
@@ -326,6 +363,33 @@ def test_kronecker_split_along_berlekamp_element(no_exhaustive_search):
     # x^2 - 2 is irreducible mod 101: End is the field of 101^2 elements
     dec = eb.decompose(_kronecker(alg, [[0, 2], [1, 0]]))
     assert dec.determined and len(dec.copies) == 1
+
+
+def test_exhaustive_search_certifies_a_noncommutative_end(monkeypatch):
+    # k<x,y>/(x^2, y^2, yx) over GF(2): End of the regular module is the
+    # 4-dimensional algebra itself, not commutative (xy != 0 = yx) and p = 2
+    # is not above dim 4, so neither locality certificate applies and only
+    # the exhaustive search decides
+    fld = eb.FieldSpec.prime(2)
+    quiver = eb.Quiver.build(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    relations = tuple(eb.make_relation(fld, [(1, quiver.path(w))])
+                      for w in (["x", "x"], ["y", "y"], ["y", "x"]))
+    alg = eb.build_algebra(eb.AlgebraPresentation(fld, quiver, relations, 3))
+    reg = eb.regular_module(alg)
+    ends = eb.end_basis(reg)
+    assert len(ends) == 4
+    assert _locality(reg, ends) == (None, None)
+    searched = []
+    search = modules._idempotent_search
+
+    def recorded(rep, e):
+        searched.append(search(rep, e))
+        return searched[-1]
+
+    monkeypatch.setattr(modules, "_idempotent_search", recorded)
+    dec = eb.decompose(reg)
+    assert dec.determined and len(dec.copies) == 1
+    assert searched == [("indecomposable", None)]
 
 
 def _reference_copies(rep: eb.Representation) -> int:

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 import extbound as eb
-from extbound import PdFinite
+from extbound import ModuleMap, PdFinite
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,30 @@ def test_coresolution_a2(a2, a2_tilting):
     assert result.success and result.length == 1
     assert [list(t.dims) for t, _ in result.terms] == [[2, 2], [1, 0]]
     assert result.verify()
+
+
+def test_coresolution_rejects_forged_term_witnesses(a2, a2_tilting):
+    reg = eb.regular_module(a2)
+    result = eb.coresolution_in_add(reg, a2_tilting, 8)
+    assert result.success and result.length == 1 and result.verify()
+
+    def with_witnesses(forge):
+        return replace(result, terms=tuple((t, forge(t, w)) for t, w in result.terms))
+
+    forgeries = {
+        "no maps": lambda t, w: eb.AddMembership(True, t, (a2_tilting,)),
+        "through the term itself": lambda t, w: eb.AddMembership(
+            True, t, (a2_tilting,), (ModuleMap.identity(t),), (ModuleMap.identity(t),)),
+        "against the term itself": lambda t, w: eb.in_add(t, t),
+        "relabelled to A": lambda t, w: replace(w, family=(reg,)),
+        "negative": lambda t, w: replace(w, member=False),
+    }
+    for name, forge in forgeries.items():
+        assert not with_witnesses(forge).verify(), name
+    # each term's own witness, but on the other term
+    (t0, w0), (t1, w1) = result.terms
+    assert not replace(result, terms=((t0, w1), (t1, w0))).verify()
+    assert with_witnesses(lambda t, w: w).verify()
 
 
 def test_coresolution_failure(a2):
