@@ -544,7 +544,13 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
     The sum is valid by construction and is built without the relation
     re-check: a path acts on the sum block by block, as it acts on each
     summand, so a relation acts blockwise too and is zero on the sum
-    because it is zero on every summand, each a Representation already."""
+    because it is zero on every summand, each a Representation already.
+
+    The sum records its nonzero parts (_summands), nested sums flattened,
+    when there are at least two: the block-diagonal matrices are the proof
+    that it is their sum, so homology reads Ext and finite projective
+    dimension of the sum off the parts.  The record is not part of the
+    module's equality; an equal module built another way has none."""
     reps = list(reps)
     if not reps:
         raise ValueError("direct sum of an empty family is ambiguous; pass the algebra instead")
@@ -568,7 +574,17 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
             ro += r.dims[a.target]
             co += r.dims[a.source]
         mats.append(Matrix._trusted(fld, rows_t, cols_s, tuple(block)))
-    return Representation._trusted(alg, dims, tuple(mats))
+    total = Representation._trusted(alg, dims, tuple(mats))
+    parts = tuple(p for r in reps for p in (_summands(r) or (r,)) if not p.is_zero)
+    if len(parts) > 1:
+        total.__dict__["_summands"] = parts
+    return total
+
+
+def _summands(rep: Representation) -> tuple[Representation, ...] | None:
+    """The nonzero parts direct_sum built rep from, in order and none of
+    them a recorded sum, or None when rep carries no such record."""
+    return rep.__dict__.get("_summands")
 
 
 def projective_module(algebra: Algebra, vertex: int) -> Representation:

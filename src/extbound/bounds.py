@@ -219,13 +219,15 @@ def _contains_regular(corpus: Corpus) -> bool:
     """Whether the regular module lies in add of a nonempty corpus.
 
     A is the sum of the projectives P_v, and add C is closed under finite
-    sums and summands, so A lies in add C exactly when every P_v does.  Each
-    P_v gets its own small in_add_family test, whose witness is verified
+    sums and summands, so A lies in add C exactly when every P_v does.  A
+    P_v equal to a member lies there through the identity; every other P_v
+    gets its own small in_add_family test, whose witness is verified
     there."""
-    parts = [rep for _, rep in corpus]
     alg = corpus.algebra
-    return bool(parts) and all(in_add_family(projective_module(alg, v), parts).member
-                               for v in range(alg.vertex_count))
+    parts = [rep for _, rep in corpus]
+    projs = (projective_module(alg, v) for v in range(alg.vertex_count))
+    return bool(parts) and all(proj in parts or in_add_family(proj, parts).member
+                               for proj in projs)
 
 
 # ----- verifier for the regular-module onset formula --------------------------
@@ -515,10 +517,11 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     ok, checked = True, 0
     for i, (an, a_mod) in enumerate(corpus.members[:2]):
         for bn, b_mod in corpus.members[i:2]:
-            summed = direct_sum([a_mod, b_mod])
-            lab_sum = left_bound(summed, corpus, cutoff)
             la, lb = labs[an], labs[bn]
-            if lab_sum.exact and la.exact and lb.exact:
+            if not (la.exact and lb.exact):
+                continue  # the sum's bound could not be compared
+            lab_sum = left_bound(direct_sum([a_mod, b_mod]), corpus, cutoff)
+            if lab_sum.exact:
                 checked += 1
                 ok = ok and lab_sum.value <= max(la.value, lb.value)
     emit("direct-sum-bound", ok, f"{checked} pairs", skipped=checked == 0)

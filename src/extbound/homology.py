@@ -9,20 +9,25 @@ on one module X as the pair (dim Hom(X, N), dim Ext^1(X, N)):
 * _stable_pair: dimension shifting along 0 -> syzygy -> P_0 -> X -> 0, from
   the dimensions of Hom spaces alone, with no map at all.
 
-A disagreement raises InternalCheckError, it is never suppressed.  Every Ext
-table is one walk along the syzygies of M (_ext_walk), since Ext^i(M, N) =
+A disagreement raises InternalCheckError, it is never suppressed.  An Ext
+table is a walk along the syzygies of M (_ext_walk), since Ext^i(M, N) =
 Ext^1(syzygy i-1 of M, N) for i >= 1: ext_dims_via_complex and
 ext_dims_via_stable walk with one route each, ext_table with both, compared
-per (syzygy, N) (_ext_pair).  The walk advances by _resolution_step, the
-projective cover of a module and the kernel of that cover, computed once per
-distinct module per algebra, the only store of resolution steps: a
-MinimalResolution (pd, periodicity, the CLI) is a value built once per call,
-by one walk of them through its cutoff, and no Ext value reads one.  The
-pairs, the complex route's ranks, pd per (module, cutoff) and the vanishing
-onsets are memoized per algebra.  Every memo key compares structurally, but
-each syzygy, simple and dual is the one object of its algebra's module table
-(algebra._canonical_module), so a key built from those modules hits by
-identity.
+per (syzygy, N) (_ext_pair).  ext_table reads a sum that algebra.direct_sum
+recorded off its parts, since Ext is additive in both arguments, and
+projective_dimension reads a finite pd of such a sum off its parts', since
+a minimal resolution of a sum is the sum of its parts' ones.  Every pair
+computed still runs both routes, and the full-table routes, which walk the
+sum itself, are the reference for the parts.  The walk advances by
+_resolution_step, the projective cover of a module and the kernel of that
+cover, computed once per distinct module per algebra, the only store of
+resolution steps: a MinimalResolution (pd, periodicity, the CLI) is a value
+built once per call, by one walk of them through its cutoff, and no Ext
+value reads one.  The pairs, the complex route's ranks, pd per (module,
+cutoff) and the vanishing onsets are memoized per algebra.  Every memo key
+compares structurally, but each syzygy, simple and dual is the one object of
+its algebra's module table (algebra._canonical_module), so a key built from
+those modules hits by identity.
 
 Claims about all sufficiently large degrees are made only under a
 certificate: a terminated resolution or a verified syzygy periodicity.
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .exactla import Matrix, rank
-from .algebra import Representation, dual_module, regular_module
+from .algebra import Representation, _summands, dual_module, regular_module
 from .modules import (
     AlgebraMismatchError, CoverResult, InternalCheckError, ModuleMap,
     _path_actions, hom_basis, is_isomorphic, kernel, projective_cover,
@@ -275,14 +280,19 @@ def _stable_pair(x_mod: Representation, n_mod: Representation) -> tuple[int, int
     return h, h_om - sum(n_mod.dims[v] for v, _ in cov.bundle.summands) + h
 
 
-def _ext_walk(m_mod: Representation, n_mod: Representation, cutoff: int, pair) -> list[int]:
-    """dim Hom(M, N), then dim Ext^1(syzygy i-1 of M, N) = dim Ext^i(M, N)
-    for i = 1..cutoff, from one pair(X, N) = (dim Hom, dim Ext^1) per
-    syzygy X; past a zero syzygy every entry is 0."""
+def _check_ext_arguments(m_mod: Representation, n_mod: Representation,
+                         cutoff: int) -> None:
     if m_mod.algebra is not n_mod.algebra:
         raise AlgebraMismatchError("Ext arguments over different algebras")
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+
+
+def _ext_walk(m_mod: Representation, n_mod: Representation, cutoff: int, pair) -> list[int]:
+    """dim Hom(M, N), then dim Ext^1(syzygy i-1 of M, N) = dim Ext^i(M, N)
+    for i = 1..cutoff, from one pair(X, N) = (dim Hom, dim Ext^1) per
+    syzygy X; past a zero syzygy every entry is 0."""
+    _check_ext_arguments(m_mod, n_mod, cutoff)
     dims: list[int] = []
     x_mod = m_mod
     for i in range(max(cutoff, 1)):
@@ -311,8 +321,22 @@ def ext_dims_via_stable(m_mod: Representation, n_mod: Representation,
 def ext_table(m_mod: Representation, n_mod: Representation, cutoff: int) -> ExtTable:
     """dim Ext^i(M, N) for i <= cutoff, from one cross-checked pair per
     (syzygy, N) (_ext_pair); a larger cutoff, or a syzygy of M as first
-    argument, reuses every pair already stored."""
-    return ExtTable(tuple(_ext_walk(m_mod, n_mod, cutoff, _ext_pair)), cutoff)
+    argument, reuses every pair already stored.
+
+    A sum recorded by direct_sum is read off its parts, M's first: the
+    table is the entrywise sum of the parts' tables, by additivity of Ext
+    in each argument, so the sum's own syzygies are never walked here.
+    Every pair the parts' walks compute runs both routes."""
+    _check_ext_arguments(m_mod, n_mod, cutoff)
+    m_parts = _summands(m_mod)
+    if m_parts is not None:
+        tables = [ext_table(part, n_mod, cutoff).dims for part in m_parts]
+    else:
+        n_parts = _summands(n_mod)
+        if n_parts is None:
+            return ExtTable(tuple(_ext_walk(m_mod, n_mod, cutoff, _ext_pair)), cutoff)
+        tables = [ext_table(m_mod, part, cutoff).dims for part in n_parts]
+    return ExtTable(tuple(map(sum, zip(*tables))), cutoff)
 
 
 def _ext_pair(x_mod: Representation, n_mod: Representation) -> tuple[int, int]:
@@ -443,6 +467,18 @@ def projective_dimension(module: Representation, cutoff: int) -> PdResult:
 
 
 def _decide_pd(module: Representation, cutoff: int) -> PdResult:
+    # a recorded sum has finite pd exactly when its parts have, the largest
+    # of theirs; its recurrences are not its parts', so it is searched whole
+    parts = _summands(module)
+    if parts is not None:
+        values = []
+        for part in parts:
+            pd_part = projective_dimension(part, cutoff)
+            if not isinstance(pd_part, PdFinite):
+                break
+            values.append(pd_part.value)
+        else:
+            return PdFinite(max(values))
     # the walk through cutoff shows every zero syzygy of index <= cutoff + 1
     t = minimal_resolution(module, cutoff).terminated_at
     if t is not None:

@@ -200,3 +200,46 @@ def test_regular_module_answer_is_the_whole_module_scan(corpora):
             assert _contains_regular(sub) == expected
             answers.append(expected)
     assert True in answers and False in answers
+
+
+def _nakayama_corpus(vertices, length, drop=()):
+    from test_homology import _cyclic_nakayama
+    alg = _cyclic_nakayama(vertices, length)
+    return Corpus(alg, tuple(
+        (f"{kind}{v}", build(alg, v)) for kind, build in
+        (("S", eb.simple_module), ("P", eb.projective_module)) for v in range(vertices)
+        if (kind, v) not in drop))
+
+
+def test_projective_members_need_no_add_test(monkeypatch):
+    from extbound import bounds
+    asked = []
+    honest = bounds.in_add_family
+
+    def counting(rep, family):
+        asked.append(rep)
+        return honest(rep, family)
+    monkeypatch.setattr(bounds, "in_add_family", counting)
+    assert bounds._contains_regular(_nakayama_corpus(8, 5))
+    assert asked == []
+    # P1 is no member, nor a summand of one: only it is tested
+    corpus = _nakayama_corpus(8, 5, drop={("P", 1)})
+    assert not bounds._contains_regular(corpus)
+    assert asked == [eb.projective_module(corpus.algebra, 1)]
+
+
+def test_direct_sum_bound_builds_no_sum_it_cannot_compare(monkeypatch):
+    from extbound import bounds
+    built = []
+    honest = bounds.direct_sum
+
+    def recording(reps):
+        built.append(len(reps))
+        return honest(reps)
+    monkeypatch.setattr(bounds, "direct_sum", recording)
+    # the simples of NAK(8, 5) have syzygy period 16, so their left bounds
+    # are not exact at cutoff 12 and no pair of them is compared
+    report = eb.verify_bound_properties(_nakayama_corpus(8, 5), 12)
+    statement, = (s for s in report.statements if s.statement == "direct-sum-bound")
+    assert (statement.status, statement.detail) == ("skipped", "0 pairs")
+    assert built == [8]  # the sum of the simples only

@@ -4,6 +4,7 @@ import pytest
 
 import extbound as eb
 from extbound import PdAtLeast, PdFinite, PdPeriodic
+from extbound.algebra import _summands
 
 
 def test_resolution_nak3_simple(nak3):
@@ -128,14 +129,72 @@ def test_ext_oracles_run_independently(nak3):
         == [0, 0, 1, 0, 0]
 
 
-def test_ext_additivity(a2, nak3):
-    for alg in (a2, nak3):
-        m1 = eb.simple_module(alg, 0)
-        m2 = eb.projective_module(alg, 0)
-        n = eb.simple_module(alg, alg.vertex_count - 1)
-        summed = eb.ext_table(eb.direct_sum([m1, m2]), n, 6).dims
-        parts = [eb.ext_table(m1, n, 6).dims, eb.ext_table(m2, n, 6).dims]
-        assert summed == tuple(a + b for a, b in zip(*parts))
+def _sum_algebras(corpora):
+    return [corpus.algebra for corpus in corpora.values()] + \
+        [_cyclic_nakayama(8, 5), _cyclic_nakayama(7, 3)]
+
+
+def _recorded_sums(alg):
+    """Sums as direct_sum builds them: two parts, a nested sum with a
+    repeated part and a zero part, zero parts around two others, the
+    regular module and the sum of all simples."""
+    n = alg.vertex_count
+    s = [eb.simple_module(alg, v) for v in range(n)]
+    p0, zero = eb.projective_module(alg, 0), eb.zero_representation(alg)
+    nested = eb.direct_sum([eb.direct_sum([s[-1], s[0]]), s[-1], zero])
+    padded = eb.direct_sum([zero, p0, zero, s[n // 2]])
+    assert _summands(nested) == (s[-1], s[0], s[-1])
+    assert _summands(padded) == (p0, s[n // 2])
+    assert _summands(eb.direct_sum([zero, s[0]])) is None
+    return [eb.direct_sum([s[0], eb.projective_module(alg, n - 1)]), nested, padded,
+            eb.regular_module(alg), eb.direct_sum(s)]
+
+
+def _single_modules(alg):
+    return [eb.simple_module(alg, 0), eb.projective_module(alg, alg.vertex_count - 1)]
+
+
+def test_ext_additivity(corpora):
+    # ext_table reads a recorded sum off its parts; the full-table routes
+    # walk the sum itself, so they are the reference
+    for alg in _sum_algebras(corpora):
+        for total in _recorded_sums(alg):
+            for x in _single_modules(alg):
+                for m_mod, n_mod in ((total, x), (x, total)):
+                    table = list(eb.ext_table(m_mod, n_mod, 5).dims)
+                    assert eb.ext_dims_via_complex(m_mod, n_mod, 5) == table
+                    assert eb.ext_dims_via_stable(m_mod, n_mod, 5) == table
+
+
+def test_an_unrecorded_equal_sum_gives_the_same_answers(corpora):
+    for alg in _sum_algebras(corpora):
+        for total in _recorded_sums(alg):
+            copy = eb.Representation(alg, total.dims, total.arrow_matrices)
+            assert copy == total and _summands(copy) is None
+            answers = []
+            for m_mod in (total, copy):
+                alg.clear_caches()  # so that no memo answers for the other
+                answers.append([
+                    (eb.ext_table(m_mod, x, 5).dims, eb.ext_table(x, m_mod, 5).dims,
+                     eb.projective_dimension(m_mod, 5).to_json(),
+                     eb.vanishing_onset(m_mod, x, 5).to_json(),
+                     eb.vanishing_onset(x, m_mod, 5).to_json())
+                    for x in _single_modules(alg)])
+            assert answers[0] == answers[1]
+
+
+def test_pd_of_a_sum_is_where_its_resolution_ends(corpora):
+    finite = 0
+    for alg in _sum_algebras(corpora):
+        for total in _recorded_sums(alg):
+            for cutoff in range(1, 6):
+                pd = eb.projective_dimension(total, cutoff)
+                end = eb.minimal_resolution(total, cutoff).terminated_at
+                assert isinstance(pd, PdFinite) == (end is not None)
+                if end is not None:
+                    finite += 1
+                    assert pd.value == end - 1
+    assert finite
 
 
 def test_pd_examples(nak3, loop2):
@@ -391,15 +450,32 @@ def test_stable_route_matches_restriction_rank_over_q():
     assert [i for i in range(1, 7) if dims[i]] == [2, 3]
 
 
-def test_ext_table_rejects_route_disagreement(monkeypatch, nak3):
+def test_ext_table_rejects_route_disagreement(monkeypatch):
     from extbound import homology
     honest = homology.ext_dims_via_stable
     monkeypatch.setattr(homology, "ext_dims_via_stable",
                         lambda m, n, c: [d + 1 for d in honest(m, n, c)])
-    # a pair no other test resolves, so the Ext memo cannot answer first
-    s1, s2 = eb.simple_module(nak3, 0), eb.simple_module(nak3, 1)
+    # the algebra's memos are emptied, so no stored pair can answer first
+    alg = _cyclic_nakayama(4, 3)
+    alg.clear_caches()
+    s1, s2 = eb.simple_module(alg, 0), eb.simple_module(alg, 1)
     with pytest.raises(eb.InternalCheckError, match="disagreement"):
         eb.ext_table(eb.direct_sum([s1, s2, s2, s1]), s1, 3)
+
+
+def test_a_disagreement_on_one_summand_raises_through_the_sum(monkeypatch):
+    from extbound import homology
+    alg = _cyclic_nakayama(5, 3)
+    alg.clear_caches()
+    s0, bad, s2 = (eb.simple_module(alg, v) for v in range(3))
+    honest = homology.ext_dims_via_stable
+    monkeypatch.setattr(homology, "ext_dims_via_stable",
+                        lambda m, n, c: [d + (bad in (m, n)) for d in honest(m, n, c)])
+    eb.ext_table(s0, s2, 3)  # its syzygies 0..2 are not the corrupted one
+    with pytest.raises(eb.InternalCheckError, match="disagreement"):
+        eb.ext_table(eb.direct_sum([s0, bad]), s2, 3)
+    with pytest.raises(eb.InternalCheckError, match="disagreement"):
+        eb.ext_table(s0, eb.direct_sum([s2, bad]), 3)
 
 
 # ----- Ext tables read along the syzygies ---------------------------------------
