@@ -19,7 +19,7 @@ from .algebra import (
 )
 from .modules import AlgebraMismatchError, InternalCheckError, in_add_family
 from .homology import (
-    OnsetResult, PdAtLeast, PdFinite, PdResult, cosyzygy, ext_table,
+    OnsetResult, PdAtLeast, PdFinite, PdResult, _Record, cosyzygy, ext_table,
     injective_dimension, minimal_resolution, onset_against_regular,
     projective_dimension, syzygy, vanishing_onset,
 )
@@ -76,7 +76,7 @@ def dual_corpus(corpus: Corpus) -> Corpus:
 
 
 @dataclass(frozen=True)
-class AbResult:
+class AbResult(_Record):
     """A restricted Auslander bound with its per-pair evidence."""
 
     exact: bool
@@ -87,10 +87,9 @@ class AbResult:
     excluded_pairs: tuple[str, ...]  # certified never-vanishing, outside the class
 
     def to_json(self) -> dict:
-        return {"exact": self.exact, "value": self.value, "cutoff": self.cutoff,
-                "pairs": {n: o.to_json() for n, o in self.pairs},
-                "undetermined_pairs": list(self.undetermined_pairs),
-                "excluded_pairs": list(self.excluded_pairs)}
+        out = super().to_json()
+        out["pairs"] = dict(out["pairs"])
+        return out
 
 
 def _aggregate(pairs: list[tuple[str, OnsetResult]], cutoff: int) -> AbResult:
@@ -134,16 +133,13 @@ def right_bound_direct(module: Representation, corpus: Corpus, cutoff: int) -> A
 
 
 @dataclass(frozen=True)
-class BoundValue:
+class BoundValue(_Record):
     exact: bool
     value: int
 
-    def to_json(self) -> dict:
-        return {"exact": self.exact, "value": self.value}
-
 
 @dataclass(frozen=True)
-class CorpusBoundReport:
+class CorpusBoundReport(_Record):
     cutoff: int
     member_stats: tuple[tuple[str, AbResult, AbResult, PdResult, PdResult], ...]
     glab: BoundValue
@@ -156,18 +152,10 @@ class CorpusBoundReport:
     contains_regular: bool
 
     def to_json(self) -> dict:
-        return {
-            "cutoff": self.cutoff,
-            "glab": self.glab.to_json(), "grab": self.grab.to_json(),
-            "gab": self.gab.to_json(),
-            "fpd": self.fpd.to_json(), "fid": self.fid.to_json(),
-            "flab": self.flab.to_json(), "frab": self.frab.to_json(),
-            "contains_regular": self.contains_regular,
-            "members": {
-                name: {"lab": lab.to_json(), "rab": rab.to_json(),
-                       "pd": pd.to_json(), "id": idim.to_json()}
-                for name, lab, rab, pd, idim in self.member_stats},
-        }
+        out = super().to_json()
+        out["members"] = {name: dict(zip(("lab", "rab", "pd", "id"), stats))
+                          for name, *stats in out.pop("member_stats")}
+        return out
 
 
 def _finitistic(values: list[PdResult]) -> BoundValue:
@@ -234,12 +222,9 @@ def _contains_regular(corpus: Corpus) -> bool:
 
 
 @dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(_Record):
     status: str  # "pass" | "fail" | "not_applicable"
     detail: str
-
-    def to_json(self) -> dict:
-        return {"status": self.status, "detail": self.detail}
 
 
 def check_regular_onset_formula(module: Representation, corpus: Corpus,
@@ -280,30 +265,21 @@ def _regular_onset_outcome(module: Representation, corpus: Corpus, cutoff: int,
 
 
 @dataclass(frozen=True)
-class PdBound:
+class PdBound(_Record):
     value: int
     kind: str = "pd_bound"
 
-    def to_json(self) -> dict:
-        return {"kind": "pd_bound", "value": self.value}
-
 
 @dataclass(frozen=True)
-class CertNotApplicable:
+class CertNotApplicable(_Record):
     reason: str
     kind: str = "not_applicable"
 
-    def to_json(self) -> dict:
-        return {"kind": "not_applicable", "reason": self.reason}
-
 
 @dataclass(frozen=True)
-class CertUndetermined:
+class CertUndetermined(_Record):
     cutoff: int
     kind: str = "undetermined"
-
-    def to_json(self) -> dict:
-        return {"kind": "undetermined", "cutoff": self.cutoff}
 
 
 FinitePdCertificate = PdBound | CertNotApplicable | CertUndetermined
@@ -315,7 +291,8 @@ def finite_pd_certificate(module: Representation, cutoff: int) -> FinitePdCertif
     Requires certified eventual vanishing of Ext^*(M, M) and Ext^*(M, A).
     Then the least m with Ext^1 from the m-th syzygy to the next one zero
     bounds the projective dimension: the corresponding cover sequence splits,
-    and minimality forces the next syzygy to vanish (asserted).
+    and minimality forces the next syzygy to vanish (asserted).  Syzygy m
+    is zero only for m = 0, the zero module, whose bound is its pd, -1.
     """
     self_onset = vanishing_onset(module, module, cutoff)
     reg_onset = onset_against_regular(module, cutoff)
@@ -332,7 +309,7 @@ def finite_pd_certificate(module: Representation, cutoff: int) -> FinitePdCertif
             if not tail.is_zero:
                 raise InternalCheckError(
                     "split cover sequence left a nonzero syzygy in a minimal resolution")
-            return PdBound(m if not head.is_zero else max(m - 1, 0))
+            return PdBound(m - 1 if head.is_zero else m)
     return CertUndetermined(cutoff)
 
 
@@ -340,12 +317,9 @@ def finite_pd_certificate(module: Representation, cutoff: int) -> FinitePdCertif
 
 
 @dataclass(frozen=True)
-class UltimateClosure:
+class UltimateClosure(_Record):
     at: int
     via_zero_syzygy: bool
-
-    def to_json(self) -> dict:
-        return {"at": self.at, "via_zero_syzygy": self.via_zero_syzygy}
 
 
 def ultimately_closed_at(module: Representation, cutoff: int) -> UltimateClosure | None:
@@ -386,27 +360,20 @@ def strongly_redundant_from(module: Representation, cutoff: int) -> int | None:
 
 
 @dataclass(frozen=True)
-class StatementResult:
+class StatementResult(_Record):
     statement: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str
 
-    def to_json(self) -> dict:
-        return {"statement": self.statement, "status": self.status, "detail": self.detail}
-
 
 @dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(_Record):
     cutoff: int
     statements: tuple[StatementResult, ...]
 
     @property
     def failed(self) -> list[StatementResult]:
         return [s for s in self.statements if s.status == "fail"]
-
-    def to_json(self) -> dict:
-        return {"cutoff": self.cutoff,
-                "statements": [s.to_json() for s in self.statements]}
 
 
 def _shift_drops_onset(corpus: Corpus, grid: dict, cutoff: int,

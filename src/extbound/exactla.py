@@ -473,14 +473,8 @@ def solve(m: Matrix, b: Sequence[Scalar]) -> tuple | None:
     if len(b) != m.rows:
         raise DimensionMismatchError(f"rhs length {len(b)} != {m.rows} rows")
     bcol = Matrix(m.field, m.rows, 1, tuple(m.field.coerce(x) for x in b))
-    red, pivots, _ = rref(hstack([m, bcol]))
-    if pivots and pivots[-1] == m.cols:
-        return None
-    fld = m.field
-    x = [fld.zero] * m.cols
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = red.entry(row_idx, m.cols)
-    return tuple(x)
+    x = express_in_columns(m, bcol)
+    return None if x is None else x.column(0)
 
 
 def column_space_basis(m: Matrix) -> Matrix:
@@ -506,10 +500,8 @@ def express_in_columns(basis: Matrix, targets: Matrix) -> Matrix | None:
 
 
 def inverse(m: Matrix) -> Matrix | None:
-    """Inverse of a square matrix, or None when singular."""
+    """Inverse of a square matrix, or None when singular (then some unit
+    vector lies outside the column span)."""
     if m.rows != m.cols:
         return None
-    red, pivots, _ = rref(hstack([m, Matrix.identity(m.field, m.rows)]))
-    if pivots[:m.rows] != tuple(range(m.rows)):
-        return None
-    return Matrix.from_rows(m.field, [red.row_list(i)[m.cols:] for i in range(m.rows)])
+    return express_in_columns(m, Matrix.identity(m.field, m.rows))

@@ -33,6 +33,9 @@ Claims about all sufficiently large degrees are made only under a
 certificate: a terminated resolution or a verified syzygy periodicity.
 Cutoffs alone never turn into "for all large degrees" statements.
 
+The JSON form of a result record, here and in bounds and tilting, is its
+fields (_Record) unless the record defines another.
+
 Each resolution step is proven by one exact certificate instead of
 re-checking objects that are valid by construction.  One canonical kernel
 basis per vertex of the cover P -> M gives surjectivity (rank), minimality
@@ -48,7 +51,7 @@ and algebra.direct_sum give the proofs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 
 from .exactla import Matrix, rank
@@ -57,6 +60,26 @@ from .modules import (
     AlgebraMismatchError, CoverResult, InternalCheckError, ModuleMap,
     _path_actions, hom_basis, is_isomorphic, kernel, projective_cover,
 )
+
+
+class _Record:
+    """Base of the result dataclasses here and in bounds and tilting.
+
+    The JSON form of a record is its fields by name: a nested record is
+    written as its own to_json(), a tuple as a list, anything else as it
+    is.  A record whose JSON has another shape overrides to_json.
+    """
+
+    def to_json(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json_value(value):
+    if isinstance(value, _Record):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
 
 
 class MinimalResolution:
@@ -190,14 +213,11 @@ def cosyzygy(rep: Representation, m: int) -> Representation:
 
 
 @dataclass(frozen=True)
-class ExtTable:
+class ExtTable(_Record):
     """dims[i] = dim Ext^i(M, N) for 0 <= i <= cutoff."""
 
     dims: tuple[int, ...]
     cutoff: int
-
-    def to_json(self) -> dict:
-        return {"dims": list(self.dims), "cutoff": self.cutoff}
 
     def to_csv(self) -> str:
         lines = ["degree,dim"]
@@ -366,16 +386,13 @@ def _ext_pair(x_mod: Representation, n_mod: Representation) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class PdFinite:
+class PdFinite(_Record):
     value: int
     kind: str = "finite"
 
-    def to_json(self) -> dict:
-        return {"kind": "finite", "value": self.value}
-
 
 @dataclass(frozen=True)
-class PdPeriodic:
+class PdPeriodic(_Record):
     preperiod: int
     period: int
     certificate: "PeriodicityCertificate"
@@ -387,19 +404,16 @@ class PdPeriodic:
 
 
 @dataclass(frozen=True)
-class PdAtLeast:
+class PdAtLeast(_Record):
     cutoff: int
     kind: str = "at_least"
-
-    def to_json(self) -> dict:
-        return {"kind": "at_least", "cutoff": self.cutoff}
 
 
 PdResult = PdFinite | PdPeriodic | PdAtLeast
 
 
 @dataclass(frozen=True)
-class PeriodicityCertificate:
+class PeriodicityCertificate(_Record):
     """A verified isomorphism between syzygy preperiod and preperiod+period.
 
     It forces every Ext table against the module to repeat with the given
@@ -498,7 +512,7 @@ def injective_dimension(module: Representation, cutoff: int) -> PdResult:
 
 
 @dataclass(frozen=True)
-class OnsetEvidence:
+class OnsetEvidence(_Record):
     kind: str  # "terminated" | "periodic" | "none"
     pd_value: int | None = None
     certificate: PeriodicityCertificate | None = None
@@ -513,7 +527,7 @@ class OnsetEvidence:
 
 
 @dataclass(frozen=True)
-class OnsetResult:
+class OnsetResult(_Record):
     """Certified decision about eventual vanishing of Ext^i(M, N).
 
     status "vanishes" with onset t means Ext^i = 0 for every i > t, with
@@ -532,11 +546,10 @@ class OnsetResult:
         return self.status != "undetermined"
 
     def to_json(self) -> dict:
-        return {"status": {"vanishes": "certified_vanishes",
-                           "never_vanishes": "certified_never_vanishes",
-                           "undetermined": "undetermined"}[self.status],
-                "onset": self.onset, "cutoff": self.cutoff,
-                "window": list(self.window), "evidence": self.evidence.to_json()}
+        out = super().to_json()
+        if self.certified:
+            out["status"] = f"certified_{self.status}"
+        return out
 
 
 def _last_nonzero_positive(dims, upto: int) -> int:

@@ -19,11 +19,11 @@ from .modules import (
     cokernel, decompose, direct_sum_with_maps, hom_basis, in_add,
 )
 from .homology import (
-    OnsetResult, PdFinite, PdPeriodic, PdResult, injective_dimension,
+    OnsetResult, PdFinite, PdPeriodic, PdResult, _Record, injective_dimension,
     projective_dimension, syzygy, vanishing_onset,
 )
 from .bounds import (
-    CertUndetermined, Corpus, FinitePdCertificate, PdBound,
+    CertNotApplicable, Corpus, FinitePdCertificate, PdBound,
     finite_pd_certificate, left_bound,
 )
 
@@ -81,7 +81,7 @@ def left_add_approximation(x_mod: Representation, t_mod: Representation) -> Modu
 
 
 @dataclass(frozen=True)
-class CoresolutionResult:
+class CoresolutionResult(_Record):
     """An exact chain 0 -> X -> T_0 -> ... -> T_n -> 0 with every term
     carrying an add(T) witness, or the stage and reason it could not be
     built ("approximation not injective" is a certified failure, exceeding
@@ -188,14 +188,10 @@ def coresolution_in_add(x_mod: Representation, t_mod: Representation,
 
 
 @dataclass(frozen=True)
-class SelforthResult:
+class SelforthResult(_Record):
     status: str  # "certified_true" | "certified_false" | "window_only"
     degree: int | None
     onset: OnsetResult
-
-    def to_json(self) -> dict:
-        return {"status": self.status, "degree": self.degree,
-                "onset": self.onset.to_json()}
 
 
 def is_selforthogonal(t_mod: Representation, cutoff: int) -> SelforthResult:
@@ -215,7 +211,7 @@ def is_selforthogonal(t_mod: Representation, cutoff: int) -> SelforthResult:
 
 
 @dataclass(frozen=True)
-class TiltingReport:
+class TiltingReport(_Record):
     pd: PdResult
     selforth: SelforthResult
     coresolution: CoresolutionResult
@@ -223,9 +219,9 @@ class TiltingReport:
     reason: str | None
 
     def to_json(self) -> dict:
-        return {"verdict": self.verdict, "reason": self.reason,
-                "pd": self.pd.to_json(), "selforthogonal": self.selforth.to_json(),
-                "coresolution": self.coresolution.to_json()}
+        out = super().to_json()
+        out["selforthogonal"] = out.pop("selforth")
+        return out
 
 
 def is_tilting(t_mod: Representation, cutoff: int, maxlen: int) -> TiltingReport:
@@ -252,19 +248,15 @@ def is_tilting(t_mod: Representation, cutoff: int, maxlen: int) -> TiltingReport
 
 
 @dataclass(frozen=True)
-class WakamatsuStage:
+class WakamatsuStage(_Record):
     index: int
     image_dims: tuple[int, ...]
     onset: OnsetResult
     status: str  # "certified" | "window_only" | "failed"
 
-    def to_json(self) -> dict:
-        return {"index": self.index, "image_dims": list(self.image_dims),
-                "status": self.status, "onset": self.onset.to_json()}
-
 
 @dataclass(frozen=True)
-class WakamatsuReport:
+class WakamatsuReport(_Record):
     selforth: SelforthResult
     stages: tuple[WakamatsuStage, ...]
     complete: bool
@@ -272,10 +264,9 @@ class WakamatsuReport:
     reason: str | None
 
     def to_json(self) -> dict:
-        return {"verdict": self.verdict, "reason": self.reason,
-                "complete": self.complete,
-                "selforthogonal": self.selforth.to_json(),
-                "stages": [s.to_json() for s in self.stages]}
+        out = super().to_json()
+        out["selforthogonal"] = out.pop("selforth")
+        return out
 
 
 def is_wakamatsu(t_mod: Representation, cutoff: int, maxlen: int) -> WakamatsuReport:
@@ -320,7 +311,7 @@ def is_wakamatsu(t_mod: Representation, cutoff: int, maxlen: int) -> WakamatsuRe
 
 
 @dataclass(frozen=True)
-class EwtcReport:
+class EwtcReport(_Record):
     selforth: SelforthResult
     coresolution: CoresolutionResult
     pd: PdResult | None
@@ -329,11 +320,9 @@ class EwtcReport:
     detail: str
 
     def to_json(self) -> dict:
-        return {"status": self.status, "detail": self.detail,
-                "selforthogonal": self.selforth.to_json(),
-                "coresolution": self.coresolution.to_json(),
-                "pd": self.pd.to_json() if self.pd else None,
-                "certificate": self.certificate.to_json() if self.certificate else None}
+        out = super().to_json()
+        out["selforthogonal"] = out.pop("selforth")
+        return out
 
 
 def ewtc_check(t_mod: Representation, cutoff: int, maxlen: int) -> EwtcReport:
@@ -371,7 +360,7 @@ def ewtc_check(t_mod: Representation, cutoff: int, maxlen: int) -> EwtcReport:
 
 
 @dataclass(frozen=True)
-class ArcEntry:
+class ArcEntry(_Record):
     name: str
     generator_selforth: str
     projective: bool
@@ -379,21 +368,11 @@ class ArcEntry:
     garc_status: str  # "holds" | "violation" | "undetermined" | "not_applicable"
     self_vanishing_bound: int | None  # exact restricted bound when M is in its own class
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "generator_selforth": self.generator_selforth,
-                "projective": self.projective, "arc_violation": self.arc_violation,
-                "garc_status": self.garc_status,
-                "self_vanishing_bound": self.self_vanishing_bound}
-
 
 @dataclass(frozen=True)
-class ArcScanReport:
+class ArcScanReport(_Record):
     entries: tuple[ArcEntry, ...]
     violations: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {"entries": [e.to_json() for e in self.entries],
-                "violations": list(self.violations)}
 
 
 def arc_scan(corpus: Corpus, cutoff: int) -> ArcScanReport:
@@ -405,7 +384,9 @@ def arc_scan(corpus: Corpus, cutoff: int) -> ArcScanReport:
     P -> M is certified surjective and minimal (homology._resolution_step),
     so its kernel is zero exactly when M is isomorphic to P.  The
     generalized variant (eventual self-vanishing forces finite projective
-    dimension) is scored through the finite-pd certificate.
+    dimension) is read off the finite-pd certificate: a bound holds, a
+    never-vanishing pair is not applicable, and an undetermined certificate
+    is a violation when the projective dimension is certified infinite.
     """
     reg = regular_module(corpus.algebra)
     entries = []
@@ -417,25 +398,18 @@ def arc_scan(corpus: Corpus, cutoff: int) -> ArcScanReport:
         violation = selforth.status == "certified_true" and not projective
         if violation:
             violations.append(name)
-        self_onset = vanishing_onset(rep, rep, cutoff)
-        reg_onset = vanishing_onset(rep, reg, cutoff)
-        if self_onset.status == "vanishes" and reg_onset.status == "vanishes":
-            cert = finite_pd_certificate(rep, cutoff)
-            if isinstance(cert, PdBound):
-                garc = "holds"
-            elif isinstance(cert, CertUndetermined):
-                pd_res = projective_dimension(rep, cutoff)
-                garc = "violation" if isinstance(pd_res, PdPeriodic) else "undetermined"
-                if garc == "violation":
-                    violations.append(name)
-            else:
-                garc = "not_applicable"
-        elif self_onset.certified and reg_onset.certified:
+        cert = finite_pd_certificate(rep, cutoff)
+        if isinstance(cert, PdBound):
+            garc = "holds"
+        elif isinstance(cert, CertNotApplicable):
             garc = "not_applicable"
+        elif isinstance(projective_dimension(rep, cutoff), PdPeriodic):
+            garc = "violation"
+            violations.append(name)
         else:
             garc = "undetermined"
         bound = None
-        if self_onset.status == "vanishes":
+        if vanishing_onset(rep, rep, cutoff).status == "vanishes":
             lab = left_bound(rep, corpus, cutoff)
             if lab.exact:
                 bound = lab.value
@@ -445,14 +419,10 @@ def arc_scan(corpus: Corpus, cutoff: int) -> ArcScanReport:
 
 
 @dataclass(frozen=True)
-class GscReport:
+class GscReport(_Record):
     id_left: PdResult
     id_right: PdResult
     equal: bool | None
-
-    def to_json(self) -> dict:
-        return {"id_left": self.id_left.to_json(), "id_right": self.id_right.to_json(),
-                "equal": self.equal}
 
 
 def gsc_report(algebra, cutoff: int) -> GscReport:

@@ -123,6 +123,25 @@ def test_finite_pd_certificate_matches_pd_everywhere(corpora):
                 assert isinstance(pd_res, PdFinite) and pd_res.value == cert.value
 
 
+def test_finite_pd_certificate_of_the_zero_module(corpora):
+    # the zero module has pd -1, and its certificate must say so
+    for corpus in corpora.values():
+        zero = eb.zero_representation(corpus.algebra)
+        assert eb.projective_dimension(zero, 4) == PdFinite(-1)
+        assert eb.finite_pd_certificate(zero, 4) == PdBound(-1)
+
+
+def test_property_suite_on_a_corpus_with_a_zero_member(corpora):
+    nak = corpora["NAK3"]
+    zero = eb.zero_representation(nak.algebra)
+    corpus = Corpus(nak.algebra, nak.members + (("Z", zero),), dict(nak.provenance))
+    report = eb.verify_bound_properties(corpus, 8)
+    assert not report.failed, [s.to_json() for s in report.failed]
+    statement = next(s for s in report.statements
+                     if s.statement == "finite-pd-certificate-matches-pd")
+    assert statement.detail == f"{len(corpus)} applicable members"
+
+
 def test_ultimately_closed(corpora):
     loop = corpora["LOOP2"]
     uc = eb.ultimately_closed_at(loop.get("S1"), 10)

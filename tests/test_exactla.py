@@ -134,11 +134,11 @@ def test_column_space_basis_spans():
 FIELDS = [F2, F5, F101, Q]
 
 
-def matrices(max_dim=4):
+def matrices(max_dim=4, square=False):
     def build(draw):
         fld = draw(st.sampled_from(FIELDS))
         rows = draw(st.integers(0, max_dim))
-        cols = draw(st.integers(0, max_dim))
+        cols = rows if square else draw(st.integers(0, max_dim))
         data = draw(st.lists(st.integers(-6, 6), min_size=rows * cols,
                              max_size=rows * cols))
         return Matrix(fld, rows, cols, tuple(fld.coerce(x) for x in data))
@@ -181,6 +181,17 @@ def test_solve_consistency(m, raw):
     else:
         aug = hstack([m, Matrix(m.field, m.rows, 1, b)])
         assert rank(aug) > rank(m)
+
+
+@settings(deadline=None, max_examples=80)
+@given(matrices(square=True))
+def test_inverse_exactly_when_full_rank(m):
+    inv = inverse(m)
+    if rank(m) < m.rows:
+        assert inv is None
+    else:
+        assert (inv @ m).entries == Matrix.identity(m.field, m.rows).entries
+        assert (m @ inv).entries == Matrix.identity(m.field, m.rows).entries
 
 
 def reference_rref(m):

@@ -179,6 +179,37 @@ def test_arc_scan_marks_projectives(corpora):
     assert flags == {"S1": False, "S2": False, "S3": True, "P1": True, "P2": True}
 
 
+@pytest.mark.parametrize("cutoff", [1, 4, 12])
+def test_arc_generalized_status_is_read_off_the_certificate(corpora, cutoff):
+    seen = set()
+    for corpus in corpora.values():
+        report = eb.arc_scan(corpus, cutoff)
+        for (_, rep), entry in zip(corpus, report.entries):
+            cert = eb.finite_pd_certificate(rep, cutoff)
+            if cert.kind == "pd_bound":
+                expected = "holds"
+            elif cert.kind == "not_applicable":
+                expected = "not_applicable"
+            elif isinstance(eb.projective_dimension(rep, cutoff), eb.PdPeriodic):
+                expected = "violation"
+            else:
+                expected = "undetermined"
+            assert entry.garc_status == expected
+            # the certificate's gate agrees with the two onsets it reads
+            onsets = (eb.vanishing_onset(rep, rep, cutoff),
+                      eb.onset_against_regular(rep, cutoff))
+            if all(o.status == "vanishes" for o in onsets):
+                assert expected in ("holds", "violation", "undetermined")
+            elif all(o.certified for o in onsets):
+                assert expected == "not_applicable"
+            else:
+                assert expected == "undetermined"
+                assert not any(o.certified for o in onsets)
+            seen.add(expected)
+    assert {"holds", "not_applicable"} <= seen
+    assert ("undetermined" in seen) == (cutoff == 1)
+
+
 def test_projective_exactly_when_the_first_syzygy_is_zero(corpora):
     # arc_scan's certificate against the trace test it replaced
     seen = {True: 0, False: 0}
