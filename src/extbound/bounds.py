@@ -361,9 +361,18 @@ def strongly_redundant_from(module: Representation, cutoff: int) -> int | None:
 
 @dataclass(frozen=True)
 class StatementResult(_Record):
+    """One `verify` statement.  Its status is decided only by `of`: pass
+    when the statement holds, fail when it is violated, skipped when it is
+    not decided at this cutoff or maxlen, which is never a failure."""
+
     statement: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str
+
+    @classmethod
+    def of(cls, statement: str, holds: bool | None, detail: str) -> StatementResult:
+        status = "skipped" if holds is None else "pass" if holds else "fail"
+        return cls(statement, status, detail)
 
 
 @dataclass(frozen=True)
@@ -376,13 +385,21 @@ class PropertyReport(_Record):
         return [s for s in self.statements if s.status == "fail"]
 
 
+def _tally(checks) -> tuple[bool, int]:
+    """(ok, decided) of a statement's per-instance checks, each True, False,
+    or None when the instance is not certified: ok when no decided check is
+    False, so a statement with no decided instance holds."""
+    decided = [c for c in checks if c is not None]
+    return all(decided), len(decided)
+
+
 def _shift_drops_onset(corpus: Corpus, grid: dict, cutoff: int,
                        contravariant: bool) -> tuple[bool, str]:
     """(ok, detail) of a shift statement: shifting each nonzero member M one
     step (its syzygy in the first argument, or its cosyzygy in the second
     when contravariant) keeps every certified status and drops a vanishing
     onset by one, floored at zero."""
-    ok, checked = True, 0
+    checks = []
     for mn, m_mod in corpus:
         if m_mod.is_zero:
             continue
@@ -393,21 +410,23 @@ def _shift_drops_onset(corpus: Corpus, grid: dict, cutoff: int,
             else:
                 base, shifted = grid[(mn, nn)], vanishing_onset(moved, n_mod, cutoff)
             if not (base.certified and shifted.certified):
-                continue
-            checked += 1
-            if base.status != shifted.status and not moved.is_zero:
-                ok = False
-            elif base.status == "vanishes" and shifted.status == "vanishes":
-                ok = ok and shifted.onset == max(base.onset - 1, 0)
+                checks.append(None)
+            elif base.status != shifted.status:
+                checks.append(moved.is_zero)
+            else:
+                checks.append(base.status != "vanishes"
+                              or shifted.onset == max(base.onset - 1, 0))
+    ok, checked = _tally(checks)
     return ok, f"{checked} certified pairs"
 
 
 def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     """Check the bound identities and inequalities over the corpus.
 
-    Every statement is a theorem, so a failure means an implementation bug;
-    instances whose hypotheses are not certified at the cutoff are skipped,
-    never guessed.
+    Every statement is a theorem, so a failure means an implementation bug.
+    A counted statement hands `_tally` one check per instance, None where
+    the instance's hypotheses are not certified at the cutoff; a statement
+    that is not decided at the cutoff is skipped, never guessed.
     """
     out: list[StatementResult] = []
     alg = corpus.algebra
@@ -416,37 +435,32 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     rabs = {name: rab for name, _, rab, *_ in report.member_stats}
     grid = {(mn, nn): onset for mn, lab in labs.items() for nn, onset in lab.pairs}
 
-    def emit(name, ok, detail="", skipped=False):
-        out.append(StatementResult(name, "skipped" if skipped else
-                                   ("pass" if ok else "fail"), detail))
+    def emit(name, holds, detail):
+        out.append(StatementResult.of(name, holds, detail))
 
     # global left and right bounds agree when both are exact
     if report.glab.exact and report.grab.exact:
         emit("global-left-right-agreement", report.glab.value == report.grab.value,
              f"glAb={report.glab.value} grAb={report.grab.value}")
     else:
-        emit("global-left-right-agreement", True, "not exact at cutoff", skipped=True)
+        emit("global-left-right-agreement", None, "not exact at cutoff")
 
     # monotonicity under corpus inclusion (prefix sub-corpus)
     if len(corpus) >= 2:
         half = Corpus(alg, corpus.members[:max(1, len(corpus) // 2)],
                       dict(corpus.provenance, complete=False))
         sub_report = corpus_bounds(half, cutoff)
-        mono_ok, mono_checked = True, 0
-        for name, small, *_ in sub_report.member_stats:
-            big = labs[name]
-            if small.exact and big.exact:
-                mono_checked += 1
-                mono_ok = mono_ok and small.value <= big.value
+        ok, checked = _tally(small.value <= labs[name].value
+                             if small.exact and labs[name].exact else None
+                             for name, small, *_ in sub_report.member_stats)
         if sub_report.gab.exact and report.gab.exact:
-            mono_ok = mono_ok and sub_report.gab.value <= report.gab.value
-        emit("bound-monotonicity-under-inclusion", mono_ok,
-             f"{mono_checked} member instances")
+            ok = ok and sub_report.gab.value <= report.gab.value
+        emit("bound-monotonicity-under-inclusion", ok, f"{checked} member instances")
     else:
-        emit("bound-monotonicity-under-inclusion", True, "corpus too small", skipped=True)
+        emit("bound-monotonicity-under-inclusion", None, "corpus too small")
 
     # two-out-of-three along cover sequences, tested in the second argument
-    checked = failures = 0
+    checks = []
     for name, rep in corpus:
         if rep.is_zero:
             continue
@@ -454,14 +468,10 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
         p0, om = res.covers[0].bundle.rep, res.syzygy(1)
         for tn, t_mod in corpus:
             triple = [vanishing_onset(t_mod, x, cutoff) for x in (om, p0, rep)]
-            if not all(o.certified for o in triple):
-                continue
-            checked += 1
-            vanish = sum(1 for o in triple if o.status == "vanishes")
-            if vanish == 2:
-                failures += 1
-    emit("two-out-of-three-on-cover-sequences", failures == 0,
-         f"{checked} certified triples")
+            checks.append(sum(o.status == "vanishes" for o in triple) != 2
+                          if all(o.certified for o in triple) else None)
+    ok, checked = _tally(checks)
+    emit("two-out-of-three-on-cover-sequences", ok, f"{checked} certified triples")
 
     # syzygy shift: onset drops by one (floored at zero) and membership
     # agrees; the cosyzygy shift is the same on the contravariant side
@@ -471,74 +481,62 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     # duality transfers Ext dimensions and onsets
     dcorp = dual_corpus(corpus)
     dual_of = dict(zip(corpus.names(), [rep for _, rep in dcorp]))
-    ok, checked = True, 0
-    for mn, m_mod in corpus:
-        for nn, n_mod in corpus:
-            fwd = ext_table(m_mod, n_mod, min(cutoff, 8)).dims
-            bwd = ext_table(dual_of[nn], dual_of[mn], min(cutoff, 8)).dims
-            checked += 1
-            ok = ok and fwd == bwd
+    ok, checked = _tally(ext_table(m_mod, n_mod, min(cutoff, 8)).dims
+                         == ext_table(dual_of[nn], dual_of[mn], min(cutoff, 8)).dims
+                         for mn, m_mod in corpus for nn, n_mod in corpus)
     emit("duality-transfers-ext-dimensions", ok, f"{checked} pairs to degree 8")
 
     # direct sums take the maximum of the two bounds
-    ok, checked = True, 0
+    checks = []
     for i, (an, a_mod) in enumerate(corpus.members[:2]):
         for bn, b_mod in corpus.members[i:2]:
             la, lb = labs[an], labs[bn]
             if not (la.exact and lb.exact):
                 continue  # the sum's bound could not be compared
             lab_sum = left_bound(direct_sum([a_mod, b_mod]), corpus, cutoff)
-            if lab_sum.exact:
-                checked += 1
-                ok = ok and lab_sum.value <= max(la.value, lb.value)
-    emit("direct-sum-bound", ok, f"{checked} pairs", skipped=checked == 0)
+            checks.append(lab_sum.value <= max(la.value, lb.value)
+                          if lab_sum.exact else None)
+    ok, checked = _tally(checks)
+    emit("direct-sum-bound", ok if checked else None, f"{checked} pairs")
 
     # the duality route for right bounds agrees with direct computation
-    ok, checked = True, 0
+    checks = []
     for name, rep in corpus:
-        via_dual = rabs[name]
-        direct = right_bound_direct(rep, corpus, cutoff)
-        if via_dual.exact and direct.exact:
-            checked += 1
-            ok = ok and via_dual.value == direct.value
+        via_dual, direct = rabs[name], right_bound_direct(rep, corpus, cutoff)
+        checks.append(via_dual.value == direct.value
+                      if via_dual.exact and direct.exact else None)
+    ok, checked = _tally(checks)
     emit("right-bound-duality-route", ok, f"{checked} members")
 
     # left bound at most m exactly when the m-th syzygy has bound zero
-    ok, checked = True, 0
+    checks = []
     for name, rep in corpus:
-        if rep.is_zero:
-            continue
         lab = labs[name]
-        if not lab.exact:
+        if rep.is_zero or not lab.exact:
             continue
         res = minimal_resolution(rep, 2)
         for m in range(1, 4):
             syz_lab = left_bound(res.syzygy(m), corpus, max(cutoff - m, 1))
-            if not syz_lab.exact:
-                continue
-            checked += 1
-            ok = ok and ((lab.value <= m) == (syz_lab.value == 0))
+            checks.append((lab.value <= m) == (syz_lab.value == 0)
+                          if syz_lab.exact else None)
+    ok, checked = _tally(checks)
     emit("syzygy-reduces-bound-to-zero", ok, f"{checked} instances")
 
     # the global bound vanishes on syzygies at its own depth and not before
+    # (undecided while a bound one step earlier is inexact and none is > 0)
     if report.gab.exact:
         n = report.gab.value
-        ok = True
-        witness_strict = n == 0
-        for name, rep in corpus:
-            syz = syzygy(rep, n)
-            syz_lab = left_bound(syz, corpus, cutoff)
-            if syz_lab.exact and syz_lab.value != 0:
-                ok = False
+        at_depth, before = [], []
+        for _, rep in corpus:
+            at_depth.append(left_bound(syzygy(rep, n), corpus, cutoff))
             if n >= 1:
-                prev = syzygy(rep, n - 1)
-                prev_lab = left_bound(prev, corpus, cutoff)
-                if prev_lab.exact and prev_lab.value > 0:
-                    witness_strict = True
-        emit("global-bound-syzygy-depth", ok and witness_strict,
-             f"depth {n}")
+                before.append(left_bound(syzygy(rep, n - 1), corpus, cutoff))
+        ok, _ = _tally(lab.value == 0 if lab.exact else None for lab in at_depth)
+        strict = (n == 0 or any(lab.exact and lab.value > 0 for lab in before)
+                  or (False if all(lab.exact for lab in before) else None))
+        emit("global-bound-syzygy-depth", ok and strict, f"depth {n}")
     else:
-        emit("global-bound-syzygy-depth", True, "global bound not exact", skipped=True)
+        emit("global-bound-syzygy-depth", None, "global bound not exact")
 
     # the opposite algebra has the same global bound
     dreport = corpus_bounds(dcorp, cutoff)
@@ -546,26 +544,26 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
         emit("opposite-global-bound", report.gab.value == dreport.gab.value,
              f"{report.gab.value} vs {dreport.gab.value}")
     else:
-        emit("opposite-global-bound", True, "not exact", skipped=True)
+        emit("opposite-global-bound", None, "not exact")
 
     # finite self-injective dimension caps every exact left bound, and the
     # exact global bound equals it on a complete corpus
     id_reg = injective_dimension(regular_module(alg), cutoff)
     if isinstance(id_reg, PdFinite):
         d = id_reg.value
-        ok = all(lab.value <= d for _, lab, *_ in report.member_stats if lab.exact)
+        ok, _ = _tally(lab.value <= d if lab.exact else None
+                       for _, lab, *_ in report.member_stats)
         emit("injective-dimension-caps-bounds", ok, f"id(A) = {d}")
         if report.gab.exact and corpus.is_complete:
             emit("global-bound-equals-injective-dimension", report.gab.value == d,
                  f"gAb={report.gab.value} id(A)={d}")
         else:
-            emit("global-bound-equals-injective-dimension", True,
-                 "corpus not complete or bound inexact", skipped=True)
+            emit("global-bound-equals-injective-dimension", None,
+                 "corpus not complete or bound inexact")
     else:
-        emit("injective-dimension-caps-bounds", True,
-             "id(A) not certified finite", skipped=True)
-        emit("global-bound-equals-injective-dimension", True,
-             "id(A) not certified finite", skipped=True)
+        emit("injective-dimension-caps-bounds", None, "id(A) not certified finite")
+        emit("global-bound-equals-injective-dimension", None,
+             "id(A) not certified finite")
 
     # finitistic projective dimension is capped by the right bound of A
     rab_reg = right_bound(regular_module(alg), corpus, cutoff)
@@ -574,23 +572,20 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
              report.fpd.value <= rab_reg.value,
              f"fPD={report.fpd.value} rAb(A)={rab_reg.value}")
     else:
-        emit("finitistic-pd-capped-by-regular-right-bound", True, "not exact",
-             skipped=True)
+        emit("finitistic-pd-capped-by-regular-right-bound", None, "not exact")
 
     # members of certified finite injective dimension are capped by the left
     # bound of the sum of simples
     simples = direct_sum([simple_module(alg, v) for v in range(alg.vertex_count)])
     lab_simples = left_bound(simples, corpus, cutoff)
     if lab_simples.exact:
-        ok, checked = True, 0
-        for name, _, _, _, idim in report.member_stats:
-            if isinstance(idim, PdFinite) and idim.value >= 0:
-                checked += 1
-                ok = ok and idim.value <= lab_simples.value
+        ok, checked = _tally(idim.value <= lab_simples.value
+                             if isinstance(idim, PdFinite) and idim.value >= 0 else None
+                             for *_, idim in report.member_stats)
         emit("finite-id-capped-by-simples-bound", ok,
              f"{checked} members, bound {lab_simples.value}")
     else:
-        emit("finite-id-capped-by-simples-bound", True, "bound not exact", skipped=True)
+        emit("finite-id-capped-by-simples-bound", None, "bound not exact")
 
     # finitistic pd is capped by the finitistic left bound once the corpus
     # contains the regular module
@@ -599,27 +594,23 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
              report.fpd.value <= report.flab.value,
              f"fPD={report.fpd.value} fLAb={report.flab.value}")
     else:
-        emit("finitistic-pd-capped-by-finitistic-bound", True,
-             "regular module not in corpus or values inexact", skipped=True)
+        emit("finitistic-pd-capped-by-finitistic-bound", None,
+             "regular module not in corpus or values inexact")
 
     # a strongly redundant resolution caps the left bound; the probe window
     # is capped because add-membership over growing syzygy families gets
     # expensive and the instances of interest sit in low degrees
     probe = min(cutoff, 6)
-    notes = []
-    ok, checked = True, 0
+    notes, checks = [], []
     for name, rep in corpus:
         m = strongly_redundant_from(rep, probe)
-        if m is None:
-            continue
         lab = labs[name]
-        if not lab.exact:
+        if m is None or not lab.exact:
             continue
-        checked += 1
-        if lab.value > m:
-            ok = False
-        elif lab.value < m:
+        checks.append(lab.value <= m)
+        if lab.value < m:
             notes.append(f"{name}: strict ({lab.value} < {m})")
+    ok, checked = _tally(checks)
     emit("strong-redundancy-caps-bound", ok,
          f"{checked} instances" + ("; " + "; ".join(notes) if notes else ""))
 
@@ -630,28 +621,26 @@ def verify_bound_properties(corpus: Corpus, cutoff: int) -> PropertyReport:
     if len(closed) == len(corpus):
         emit("resolutions-ultimately-closed", True, f"all {len(closed)} members")
     else:
-        emit("resolutions-ultimately-closed", True,
-             f"{len(closed)}/{len(corpus)} members closed within cutoff", skipped=True)
+        emit("resolutions-ultimately-closed", None,
+             f"{len(closed)}/{len(corpus)} members closed within cutoff")
 
     # the regular-onset formula holds wherever its hypotheses certify
-    ok, checked = True, 0
+    checks = []
     for name, rep in corpus:
-        outcome = _regular_onset_outcome(rep, corpus, cutoff, labs[name],
-                                         lambda: report.contains_regular)
-        if outcome.status == "fail":
-            ok = False
-        if outcome.status != "not_applicable":
-            checked += 1
+        status = _regular_onset_outcome(rep, corpus, cutoff, labs[name],
+                                        lambda: report.contains_regular).status
+        checks.append(None if status == "not_applicable" else status == "pass")
+    ok, checked = _tally(checks)
     emit("regular-onset-formula", ok, f"{checked} applicable members")
 
     # the finite-pd certificate agrees with the resolution wherever it applies
-    ok, checked = True, 0
+    checks = []
     for name, rep in corpus:
         cert = finite_pd_certificate(rep, cutoff)
         if isinstance(cert, PdBound):
-            checked += 1
             pd_res = projective_dimension(rep, cutoff)
-            ok = ok and isinstance(pd_res, PdFinite) and pd_res.value == cert.value
+            checks.append(isinstance(pd_res, PdFinite) and pd_res.value == cert.value)
+    ok, checked = _tally(checks)
     emit("finite-pd-certificate-matches-pd", ok, f"{checked} applicable members")
 
     return PropertyReport(cutoff, tuple(out))

@@ -9,7 +9,9 @@ byte-identical reports.
 
 Each command is written once, as a row of `_COMMANDS`; the parser builds
 the arguments of the command being run only.  Every `verify` statement is a
-`bounds.StatementResult`.
+`bounds.StatementResult` whose status `StatementResult.of` decides from a
+three-valued check: a statement that is undecided at the cutoff or maxlen
+is skipped and never makes `verify` exit 1.
 """
 
 from __future__ import annotations
@@ -96,6 +98,10 @@ def _ab_text(ab) -> str:
     return f"{'Exact' if ab.exact else 'LowerBound'}({ab.value})"
 
 
+def _csv(rows: list[list[str]], header: list[str]) -> str:
+    return "\n".join(",".join(row) for row in [header] + rows)
+
+
 def _table(rows: list[list[str]], header: list[str]) -> str:
     cols = list(zip(*([header] + rows))) if rows else [(h,) for h in header]
     widths = [max(len(str(x)) for x in col) for col in cols]
@@ -178,11 +184,10 @@ def cmd_ext(args):
     table = ext_table(m_mod, n_mod, args.cutoff)
     payload = dict(_meta(args), module=name_m, against=name_n,
                    table=table.to_json())
+    rows = [[str(i), str(d)] for i, d in enumerate(table.dims)]
     if args.format == "csv":
-        return 0, payload, table.to_csv().rstrip("\n")
-    human = _table([[str(i), str(d)] for i, d in enumerate(table.dims)],
-                   ["degree", "dim Ext"])
-    return 0, payload, human
+        return 0, payload, _csv(rows, ["degree", "dim"])
+    return 0, payload, _table(rows, ["degree", "dim Ext"])
 
 
 def cmd_pd(args):
@@ -222,21 +227,18 @@ def cmd_bounds(args):
     report = corpus_bounds(corpus, args.cutoff)
     payload = dict(_meta(args), corpus=corpus.provenance,
                    report=report.to_json())
-    if args.format == "csv":
-        lines = ["module,lab,rab,pd,id"]
-        for name, lab, rab, pd_r, id_r in report.member_stats:
-            lines.append(f"{name},{_ab_text(lab)},{_ab_text(rab)},"
-                         f"{_pd_text(pd_r)},{_pd_text(id_r)}")
-        return (0 if report.gab.exact else 2), payload, "\n".join(lines)
+    code = 0 if report.gab.exact else 2
     rows = [[name, _ab_text(lab), _ab_text(rab), _pd_text(pd_r), _pd_text(id_r)]
             for name, lab, rab, pd_r, id_r in report.member_stats]
+    if args.format == "csv":
+        return code, payload, _csv(rows, ["module", "lab", "rab", "pd", "id"])
     human = _table(rows, ["module", "lab", "rab", "pd", "id"])
     human += (f"\nglAb={_ab_text(report.glab)} grAb={_ab_text(report.grab)}"
               f" gAb={_ab_text(report.gab)}"
               f"\nfPD={_ab_text(report.fpd)} fID={_ab_text(report.fid)}"
               f" fLAb={_ab_text(report.flab)} fRAb={_ab_text(report.frab)}"
               f"\ncontains regular module: {report.contains_regular}")
-    return (0 if report.gab.exact else 2), payload, human
+    return code, payload, human
 
 
 def cmd_tilting(args):
@@ -251,7 +253,7 @@ def cmd_tilting(args):
     human = (f"{name}: {report.verdict}"
              + (f" ({report.reason})" if report.reason else "")
              + f"\n  pd: {_pd_text(report.pd)}"
-             + f"\n  selforthogonal: {report.selforth.status}"
+             + f"\n  selforthogonal: {report.selforthogonal.status}"
              + (f"\n  coresolution length: {report.coresolution.length}"
                 if report.coresolution.success else
                 f"\n  coresolution: failed at stage {report.coresolution.failure_stage}"
@@ -341,8 +343,9 @@ def cmd_corpus(args):
     return 0, payload, f"wrote {len(corpus)} modules to {args.out}"
 
 
-def _statement(statement: str, ok: bool, detail: str) -> StatementResult:
-    return StatementResult(statement, "pass" if ok else "fail", detail)
+def _verdict(verdict: str, wanted: str) -> bool | None:
+    """Whether a verdict is the wanted one; None while it is undetermined."""
+    return None if verdict == "undetermined" else verdict == wanted
 
 
 def _fixture_statements(name: str, cutoff: int, maxlen: int) -> list[StatementResult]:
@@ -350,39 +353,36 @@ def _fixture_statements(name: str, cutoff: int, maxlen: int) -> list[StatementRe
     alg = corpus.algebra
     statements = list(verify_bound_properties(corpus, cutoff).statements)
 
+    def add(statement, holds, detail):
+        statements.append(StatementResult.of(statement, holds, detail))
+
     reg = regular_module(alg)
     tilt = is_tilting(reg, cutoff, maxlen)
-    statements.append(_statement("regular-module-is-tilting",
-                                 tilt.verdict == "tilting", tilt.verdict))
+    add("regular-module-is-tilting", _verdict(tilt.verdict, "tilting"), tilt.verdict)
     wak = is_wakamatsu(reg, cutoff, maxlen)
-    statements.append(_statement("regular-module-is-wakamatsu",
-                                 wak.verdict == "wakamatsu", wak.verdict))
+    add("regular-module-is-wakamatsu", _verdict(wak.verdict, "wakamatsu"), wak.verdict)
     ew = ewtc_check(reg, cutoff, maxlen)
-    statements.append(_statement("ewtc-instance-regular", ew.status == "confirmed",
-                                 ew.detail))
+    add("ewtc-instance-regular", _verdict(ew.status, "confirmed"), ew.detail)
 
     if name == "A2":
         t_good = direct_sum([projective_module(alg, 0), simple_module(alg, 0)])
-        rep_good = is_tilting(t_good, cutoff, maxlen)
-        ok = (rep_good.verdict == "tilting"
-              and isinstance(rep_good.pd, PdFinite) and rep_good.pd.value == 1
-              and rep_good.coresolution.length == 1)
-        statements.append(_statement(
-            "a2-canonical-tilting-module", ok,
-            f"verdict {rep_good.verdict}, pd {_pd_text(rep_good.pd)}, "
-            f"coresolution length {rep_good.coresolution.length}"))
-        rep_bad = is_tilting(simple_module(alg, 0), cutoff, maxlen)
-        ok = rep_bad.verdict == "not_tilting" and not rep_bad.coresolution.success
-        statements.append(_statement("a2-simple-rejected-at-coresolution", ok,
-                                     rep_bad.reason or rep_bad.verdict))
+        good = is_tilting(t_good, cutoff, maxlen)
+        add("a2-canonical-tilting-module",
+            _verdict(good.verdict, "tilting") and isinstance(good.pd, PdFinite)
+            and good.pd.value == 1 and good.coresolution.length == 1,
+            f"verdict {good.verdict}, pd {_pd_text(good.pd)}, "
+            f"coresolution length {good.coresolution.length}")
+        bad = is_tilting(simple_module(alg, 0), cutoff, maxlen)
+        add("a2-simple-rejected-at-coresolution",
+            _verdict(bad.verdict, "not_tilting") and not bad.coresolution.success,
+            bad.reason or bad.verdict)
 
     arc = arc_scan(corpus, cutoff)
-    statements.append(_statement("arc-scan-empty", not arc.violations,
-                                 f"violations: {list(arc.violations) or 'none'}"))
+    add("arc-scan-empty", not arc.violations,
+        f"violations: {list(arc.violations) or 'none'}")
     gsc = gsc_report(alg, cutoff)
-    statements.append(_statement("gorenstein-symmetry-instance", gsc.equal,
-                                 f"left {_pd_text(gsc.id_left)}, "
-                                 f"right {_pd_text(gsc.id_right)}"))
+    add("gorenstein-symmetry-instance", gsc.equal,
+        f"left {_pd_text(gsc.id_left)}, right {_pd_text(gsc.id_right)}")
     return statements
 
 

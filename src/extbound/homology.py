@@ -219,11 +219,6 @@ class ExtTable(_Record):
     dims: tuple[int, ...]
     cutoff: int
 
-    def to_csv(self) -> str:
-        lines = ["degree,dim"]
-        lines.extend(f"{i},{d}" for i, d in enumerate(self.dims))
-        return "\n".join(lines) + "\n"
-
 
 def _precomposition_rank(y_mod: Representation, n_mod: Representation, op) -> int:
     """Rank of Hom(P_0, N) -> Hom(P_1, N), precomposition with d_1, the cover

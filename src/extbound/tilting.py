@@ -96,8 +96,9 @@ class CoresolutionResult(_Record):
     reason: str | None = None
 
     @property
-    def length(self) -> int:
-        return len(self.terms) - 1
+    def length(self) -> int | None:
+        """n, the index of the last term; None for a failed chain."""
+        return len(self.terms) - 1 if self.success else None
 
     def verify(self) -> bool:
         """Recheck exactness by rank arithmetic and every add witness, each
@@ -128,7 +129,7 @@ class CoresolutionResult(_Record):
         return True
 
     def to_json(self) -> dict:
-        return {"success": self.success, "length": self.length if self.success else None,
+        return {"success": self.success, "length": self.length,
                 "term_dims": [list(t.dims) for t, _ in self.terms],
                 "failure_stage": self.failure_stage, "reason": self.reason}
 
@@ -213,15 +214,10 @@ def is_selforthogonal(t_mod: Representation, cutoff: int) -> SelforthResult:
 @dataclass(frozen=True)
 class TiltingReport(_Record):
     pd: PdResult
-    selforth: SelforthResult
+    selforthogonal: SelforthResult
     coresolution: CoresolutionResult
     verdict: str  # "tilting" | "not_tilting" | "undetermined"
     reason: str | None
-
-    def to_json(self) -> dict:
-        out = super().to_json()
-        out["selforthogonal"] = out.pop("selforth")
-        return out
 
 
 def is_tilting(t_mod: Representation, cutoff: int, maxlen: int) -> TiltingReport:
@@ -257,16 +253,11 @@ class WakamatsuStage(_Record):
 
 @dataclass(frozen=True)
 class WakamatsuReport(_Record):
-    selforth: SelforthResult
+    selforthogonal: SelforthResult
     stages: tuple[WakamatsuStage, ...]
     complete: bool
     verdict: str  # "wakamatsu" | "not_wakamatsu" | "undetermined"
     reason: str | None
-
-    def to_json(self) -> dict:
-        out = super().to_json()
-        out["selforthogonal"] = out.pop("selforth")
-        return out
 
 
 def is_wakamatsu(t_mod: Representation, cutoff: int, maxlen: int) -> WakamatsuReport:
@@ -312,17 +303,12 @@ def is_wakamatsu(t_mod: Representation, cutoff: int, maxlen: int) -> WakamatsuRe
 
 @dataclass(frozen=True)
 class EwtcReport(_Record):
-    selforth: SelforthResult
+    selforthogonal: SelforthResult
     coresolution: CoresolutionResult
     pd: PdResult | None
     certificate: FinitePdCertificate | None
     status: str  # "confirmed" | "not_applicable" | "undetermined" | "counterexample"
     detail: str
-
-    def to_json(self) -> dict:
-        out = super().to_json()
-        out["selforthogonal"] = out.pop("selforth")
-        return out
 
 
 def ewtc_check(t_mod: Representation, cutoff: int, maxlen: int) -> EwtcReport:

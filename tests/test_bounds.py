@@ -187,6 +187,47 @@ def test_property_report_serializes(corpora):
                for s in data["statements"])
 
 
+def test_statement_status_of_a_three_valued_check():
+    assert [eb.StatementResult.of("s", holds, "d").status
+            for holds in (True, False, None)] == ["pass", "fail", "skipped"]
+
+
+def test_tally_counts_only_decided_checks():
+    from extbound.bounds import _tally
+    assert _tally([True, None, True]) == (True, 2)
+    assert _tally(c for c in (None, False, True)) == (False, 2)
+    assert _tally([None, None]) == (True, 0)
+    assert _tally([]) == (True, 0)
+
+
+def test_global_bound_syzygy_depth_without_a_decided_witness_is_skipped(monkeypatch,
+                                                                         corpora):
+    # no syzygy one step before the depth has an exact bound > 0, but their
+    # bounds are inexact: the depth is not decided
+    from dataclasses import replace
+    from extbound import bounds
+    corpus = corpora["NAK3"]
+    depth = eb.corpus_bounds(corpus, 12).gab
+    assert depth == eb.BoundValue(True, 2)
+    honest_syzygy, honest_left_bound = bounds.syzygy, bounds.left_bound
+    shallow = []  # the syzygy just taken, when it is one step before the depth
+
+    def syzygy(rep, m):
+        out = honest_syzygy(rep, m)
+        shallow[:] = [out] if m == depth.value - 1 else []
+        return out
+
+    def left_bound(module, corpus, cutoff):
+        lab = honest_left_bound(module, corpus, cutoff)
+        return replace(lab, exact=False) if shallow and shallow.pop() is module else lab
+    monkeypatch.setattr(bounds, "syzygy", syzygy)
+    monkeypatch.setattr(bounds, "left_bound", left_bound)
+    report = eb.verify_bound_properties(corpus, 12)
+    statement, = (s for s in report.statements
+                  if s.statement == "global-bound-syzygy-depth")
+    assert (statement.status, statement.detail) == ("skipped", "depth 2")
+
+
 def test_regular_onset_statement_counts_the_applicable_members(corpora):
     for corpus in corpora.values():
         for cutoff in (1, 10):

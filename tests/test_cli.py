@@ -82,6 +82,19 @@ def test_bounds_csv(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("module,against,cutoff,dims", [
+    ("builtin:CNAK2:S1", "builtin:CNAK2:S2", 5, [0, 1, 0, 1, 0, 1]),
+    ("builtin:NAK3:S1", "regular", 4, [0, 0, 1, 0, 0]),
+    ("builtin:LOOP2:S1", "builtin:LOOP2:S1", 3, [1, 1, 1, 1]),
+    ("builtin:A2:S2", "builtin:A2:S1", 0, [0]),
+])
+def test_ext_csv_bytes(capsys, module, against, cutoff, dims):
+    code, out, _ = run(capsys, "ext", "--module", module, "--against", against,
+                       "--cutoff", str(cutoff), "--format", "csv")
+    assert code == 0
+    assert out == "degree,dim\n" + "".join(f"{i},{d}\n" for i, d in enumerate(dims))
+
+
 def test_resolve_command(capsys):
     code, out, _ = run(capsys, "resolve", "--module", "builtin:NAK3:S1",
                        "--cutoff", "4", "--format", "json")
@@ -241,6 +254,25 @@ def test_verify_all_fixtures(capsys):
     data = json.loads(out)
     assert data["summary"]["fail"] == 0
     assert data["summary"]["pass"] > 0
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 6, 12])
+def test_verify_undecided_statements_never_fail(capsys, cutoff):
+    # a short window or chain leaves verdicts undetermined: skipped, not failed
+    for maxlen in (0, 1, 8):
+        code, out, _ = run(capsys, "verify", "--fixtures", "all", "--cutoff", str(cutoff),
+                           "--maxlen", str(maxlen), "--format", "json")
+        assert (code, json.loads(out)["summary"]["fail"]) == (0, 0), maxlen
+
+
+def test_verify_undecided_gorenstein_symmetry_is_skipped(capsys):
+    code, out, _ = run(capsys, "verify", "--fixtures", "NAK3", "--cutoff", "1",
+                       "--format", "json")
+    statement, = (s for s in json.loads(out)["fixtures"]["NAK3"]["statements"]
+                  if s["statement"] == "gorenstein-symmetry-instance")
+    assert code == 0
+    assert statement == {"statement": "gorenstein-symmetry-instance", "status": "skipped",
+                         "detail": "left AtLeast(1), right AtLeast(1)"}
 
 
 def test_verify_deterministic_bytes(capsys):

@@ -47,6 +47,12 @@ def test_coresolution_a2(a2, a2_tilting):
     assert result.verify()
 
 
+def test_failed_coresolution_has_no_length(a2):
+    result = eb.coresolution_in_add(eb.regular_module(a2), eb.simple_module(a2, 0), 8)
+    assert not result.success and result.length is None
+    assert result.to_json()["length"] is None
+
+
 def test_coresolution_rejects_forged_term_witnesses(a2, a2_tilting):
     reg = eb.regular_module(a2)
     result = eb.coresolution_in_add(reg, a2_tilting, 8)
