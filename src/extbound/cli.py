@@ -17,6 +17,8 @@ is skipped and never makes `verify` exit 1.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 
 from .algebra import (
@@ -99,7 +101,9 @@ def _ab_text(ab) -> str:
 
 
 def _csv(rows: list[list[str]], header: list[str]) -> str:
-    return "\n".join(",".join(row) for row in [header] + rows)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header] + rows)
+    return out.getvalue()[:-1]
 
 
 def _table(rows: list[list[str]], header: list[str]) -> str:

@@ -3,7 +3,9 @@ Wakamatsu-tilting and the related homological conjectures at corpus scale.
 
 Verdicts are three-valued: a certified yes carries verifiable witnesses, a
 certified no carries the failing stage or degree, and anything cut off by a
-window or an unresolved decomposition is reported undetermined.
+window or an unresolved decomposition is reported undetermined. The
+tilting, Wakamatsu and EWTC verdicts all read one walk of approximations of
+the regular module, `coresolution_in_add`'s, so maxlen bounds all three alike.
 """
 
 from __future__ import annotations
@@ -85,13 +87,15 @@ class CoresolutionResult(_Record):
     """An exact chain 0 -> X -> T_0 -> ... -> T_n -> 0 with every term
     carrying an add(T) witness, or the stage and reason it could not be
     built ("approximation not injective" is a certified failure, exceeding
-    maxlen is not)."""
+    maxlen is not). `images` holds every module the walk reached, however
+    it ended: X_0 = X, then each cokernel X_{i+1} of X_i -> T_i."""
 
     t_module: Representation
     success: bool
     terms: tuple[tuple[Representation, AddMembership], ...]
     first_map: ModuleMap | None
     maps: tuple[ModuleMap, ...]
+    images: tuple[Representation, ...]
     failure_stage: int | None = None
     reason: str | None = None
 
@@ -99,6 +103,11 @@ class CoresolutionResult(_Record):
     def length(self) -> int | None:
         """n, the index of the last term; None for a failed chain."""
         return len(self.terms) - 1 if self.success else None
+
+    @property
+    def refuted(self) -> bool:
+        """Certified: a non-injective approximation, so no chain exists."""
+        return self.reason == "approximation not injective"
 
     def verify(self) -> bool:
         """Recheck exactness by rank arithmetic and every add witness, each
@@ -109,23 +118,16 @@ class CoresolutionResult(_Record):
             if (witness.module != term or witness.family != (self.t_module,)
                     or not witness.member or not witness.verify()):
                 return False
-        f = self.first_map
-        if not f.is_injective:
+        chain = [self.first_map, *self.maps]
+        if not chain[0].is_injective or not chain[-1].is_surjective:
             return False
-        chain = [f] + list(self.maps)
-        for i in range(len(chain) - 1):
-            comp = chain[i + 1] @ chain[i]
-            if not comp.is_zero:
+        for prev, cur in zip(chain, chain[1:]):
+            if not (cur @ prev).is_zero:
                 return False
-        for i in range(1, len(chain)):
-            prev, cur = chain[i - 1], chain[i]
             for v in range(cur.source.algebra.vertex_count):
                 dim_ker = cur.source.dims[v] - rank(cur.vertex_maps[v])
                 if dim_ker != rank(prev.vertex_maps[v]):
                     return False
-        last = chain[-1]
-        if not last.is_surjective:
-            return False
         return True
 
     def to_json(self) -> dict:
@@ -147,23 +149,26 @@ def coresolution_corpus(x_mod: Representation, result: CoresolutionResult) -> Co
 
 def coresolution_in_add(x_mod: Representation, t_mod: Representation,
                         maxlen: int) -> CoresolutionResult:
-    """Iterated left approximations from X until a cokernel certifies inside
-    add T (that cokernel becomes the last term)."""
+    """The one walk of left add(T)-approximations: X_0 = X, and X_{i+1} is
+    the cokernel of X_i -> T_i, until some X_n certifies inside add T and
+    becomes the last term. It takes at most maxlen approximations and stops
+    at a non-injective one; every X_i reached is kept as `images`."""
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
-    initial = in_add(x_mod, t_mod)
-    if initial.member:
-        return CoresolutionResult(t_mod, True, ((x_mod, initial),),
-                                  ModuleMap.identity(x_mod), ())
+    images = [x_mod]
     terms: list[tuple[Representation, AddMembership]] = []
     stage_maps: list[ModuleMap] = []  # phi_i : X_i -> T_i
-    projections: list[ModuleMap] = []
-    current = x_mod
-    for stage in range(maxlen):
-        phi = left_add_approximation(current, t_mod)
+    projections: list[ModuleMap] = []  # T_i -> X_{i+1}
+    final = in_add(x_mod, t_mod)
+    while not final.member:
+        stage = len(stage_maps)
+        if stage == maxlen:
+            return CoresolutionResult(t_mod, False, (), None, (), tuple(images),
+                                      stage, "maxlen exceeded")
+        phi = left_add_approximation(images[-1], t_mod)
         if not phi.is_injective:
-            return CoresolutionResult(t_mod, False, (), None, (), failure_stage=stage,
-                                      reason="approximation not injective")
+            return CoresolutionResult(t_mod, False, (), None, (), tuple(images),
+                                      stage, "approximation not injective")
         witness = in_add(phi.target, t_mod)
         if not witness.member:
             raise InternalCheckError("approximation target escaped add T")
@@ -171,21 +176,15 @@ def coresolution_in_add(x_mod: Representation, t_mod: Representation,
         stage_maps.append(phi)
         coker, proj = cokernel(phi)
         projections.append(proj)
+        images.append(coker)
         final = in_add(coker, t_mod)
-        if final.member:
-            terms.append((coker, final))
-            maps = []
-            for i in range(len(stage_maps) - 1):
-                maps.append(stage_maps[i + 1] @ projections[i])
-            maps.append(projections[-1])
-            result = CoresolutionResult(t_mod, True, tuple(terms), stage_maps[0],
-                                        tuple(maps))
-            if not result.verify():
-                raise InternalCheckError("constructed coresolution failed verification")
-            return result
-        current = coker
-    return CoresolutionResult(t_mod, False, (), None, (), failure_stage=maxlen,
-                              reason="maxlen exceeded")
+    terms.append((images[-1], final))
+    maps = [phi @ proj for phi, proj in zip(stage_maps[1:], projections)] + projections[-1:]
+    first = stage_maps[0] if stage_maps else ModuleMap.identity(x_mod)
+    result = CoresolutionResult(t_mod, True, tuple(terms), first, tuple(maps), tuple(images))
+    if not result.verify():
+        raise InternalCheckError("constructed coresolution failed verification")
+    return result
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,7 @@ def is_tilting(t_mod: Representation, cutoff: int, maxlen: int) -> TiltingReport
     if selforth.status == "certified_false":
         return TiltingReport(pd_res, selforth, cores, "not_tilting",
                              f"Ext^{selforth.degree}(T,T) != 0")
-    if not cores.success and cores.reason == "approximation not injective":
+    if cores.refuted:
         return TiltingReport(pd_res, selforth, cores, "not_tilting",
                              f"no coresolution: stage {cores.failure_stage} "
                              "approximation not injective")
@@ -253,6 +252,9 @@ class WakamatsuStage(_Record):
 
 @dataclass(frozen=True)
 class WakamatsuReport(_Record):
+    """One stage per image of the regular module's coresolution walk, in
+    order; `complete` is whether that walk ended in add T."""
+
     selforthogonal: SelforthResult
     stages: tuple[WakamatsuStage, ...]
     complete: bool
@@ -265,39 +267,34 @@ def is_wakamatsu(t_mod: Representation, cutoff: int, maxlen: int) -> WakamatsuRe
     left approximations of the regular module whose images stay orthogonal
     to T.
 
-    The chain may genuinely be infinite; truncation at maxlen yields the
-    verdict undetermined, never a fabricated failure.
+    The chain is `coresolution_in_add`'s; Ext^{>=1}(X_i, T) is checked on
+    its `images` in order, so the first failing stage is reported. A chain
+    ending in add T continues by identities, so it certifies Wakamatsu. The
+    chain may genuinely be infinite; truncation at maxlen yields the verdict
+    undetermined, never a fabricated failure.
     """
     selforth = is_selforthogonal(t_mod, cutoff)
     if selforth.status == "certified_false":
         return WakamatsuReport(selforth, (), False, "not_wakamatsu",
                                f"Ext^{selforth.degree}(T,T) != 0")
+    cores = coresolution_in_add(regular_module(t_mod.algebra), t_mod, maxlen)
     stages: list[WakamatsuStage] = []
-    current = regular_module(t_mod.algebra)
-    complete = False
-    for index in range(maxlen + 1):
-        if current.is_zero:
-            complete = True
-            break
-        onset = vanishing_onset(current, t_mod, cutoff)
+    for index, image in enumerate(cores.images):
+        onset = vanishing_onset(image, t_mod, cutoff)
         nonzero = next((i for i in range(1, len(onset.window)) if onset.window[i]), None)
+        status = ("failed" if nonzero is not None else
+                  "certified" if onset.status == "vanishes" else "window_only")
+        stages.append(WakamatsuStage(index, image.dims, onset, status))
         if nonzero is not None:
-            stages.append(WakamatsuStage(index, current.dims, onset, "failed"))
-            return WakamatsuReport(selforth, tuple(stages), False, "not_wakamatsu",
+            return WakamatsuReport(selforth, tuple(stages), cores.success, "not_wakamatsu",
                                    f"stage {index} image has Ext^{nonzero} against T")
-        status = "certified" if onset.status == "vanishes" else "window_only"
-        stages.append(WakamatsuStage(index, current.dims, onset, status))
-        if index == maxlen:
-            break
-        phi = left_add_approximation(current, t_mod)
-        if not phi.is_injective:
-            return WakamatsuReport(selforth, tuple(stages), False, "not_wakamatsu",
-                                   f"stage {index} approximation not injective")
-        current, _ = cokernel(phi)
+    if cores.refuted:
+        return WakamatsuReport(selforth, tuple(stages), False, "not_wakamatsu",
+                               f"stage {cores.failure_stage} approximation not injective")
     all_certified = all(s.status == "certified" for s in stages)
-    if complete and all_certified and selforth.status == "certified_true":
+    if cores.success and all_certified and selforth.status == "certified_true":
         return WakamatsuReport(selforth, tuple(stages), True, "wakamatsu", None)
-    return WakamatsuReport(selforth, tuple(stages), complete, "undetermined",
+    return WakamatsuReport(selforth, tuple(stages), cores.success, "undetermined",
                            "chain truncated or some stage window-only")
 
 
@@ -315,22 +312,23 @@ def ewtc_check(t_mod: Representation, cutoff: int, maxlen: int) -> EwtcReport:
     """Check one instance of the conjecture that self-orthogonality plus a
     finite coresolution of the regular module already force tilting.
 
-    With both conditions certified, a certified-infinite projective
+    It reads the self-orthogonality, coresolution and pd of `is_tilting`.
+    With both hypotheses certified, a certified-infinite projective
     dimension would be a counterexample and is flagged loudly; a finite one
     confirms the instance, corroborated by the finite-pd certificate.
     """
-    selforth = is_selforthogonal(t_mod, cutoff)
-    cores = coresolution_in_add(regular_module(t_mod.algebra), t_mod, maxlen)
+    tilt = is_tilting(t_mod, cutoff, maxlen)
+    selforth, cores = tilt.selforthogonal, tilt.coresolution
     if selforth.status == "certified_false":
         return EwtcReport(selforth, cores, None, None, "not_applicable",
                           f"Ext^{selforth.degree}(T,T) != 0")
-    if not cores.success and cores.reason == "approximation not injective":
+    if cores.refuted:
         return EwtcReport(selforth, cores, None, None, "not_applicable",
                           "no coresolution of the regular module in add T")
     if selforth.status == "window_only" or not cores.success:
         return EwtcReport(selforth, cores, None, None, "undetermined",
                           "hypotheses not certified at the cutoff")
-    pd_res = projective_dimension(t_mod, cutoff)
+    pd_res = tilt.pd
     cert = finite_pd_certificate(t_mod, cutoff)
     if isinstance(pd_res, PdPeriodic):
         return EwtcReport(selforth, cores, pd_res, cert, "counterexample",

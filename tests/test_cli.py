@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import sys
@@ -74,12 +75,16 @@ def test_ab_right_side(capsys):
 
 
 def test_bounds_csv(capsys):
-    code, out, _ = run(capsys, "bounds", "--corpus", "builtin:LOOP2",
-                       "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "module,lab,rab,pd,id"
-    assert len(lines) == 3
+    # a periodic pd is written with a comma inside it (LOOP2, CNAK2), so
+    # such a field must be quoted to keep every row as long as the header
+    for name in eb.FIXTURE_NAMES:
+        code, out, _ = run(capsys, "bounds", "--corpus", f"builtin:{name}",
+                           "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["module", "lab", "rab", "pd", "id"]
+        assert [row[0] for row in rows[1:]] == eb.fixture_corpus(name).names()
+        assert all(len(row) == 5 for row in rows), name
 
 
 @pytest.mark.parametrize("module,against,cutoff,dims", [
@@ -263,6 +268,20 @@ def test_verify_undecided_statements_never_fail(capsys, cutoff):
         code, out, _ = run(capsys, "verify", "--fixtures", "all", "--cutoff", str(cutoff),
                            "--maxlen", str(maxlen), "--format", "json")
         assert (code, json.loads(out)["summary"]["fail"]) == (0, 0), maxlen
+
+
+def test_verify_maxlen_zero_decides_wakamatsu(capsys):
+    # the regular module is its own chain of length 0, so maxlen 0 decides
+    # Wakamatsu exactly as it decides tilting
+    code, out, _ = run(capsys, "verify", "--fixtures", "all", "--cutoff", "12",
+                       "--maxlen", "0", "--format", "json")
+    data = json.loads(out)
+    assert code == 0
+    for name in eb.FIXTURE_NAMES:
+        status = {s["statement"]: s["status"] for s in data["fixtures"][name]["statements"]}
+        assert status["regular-module-is-tilting"] == "pass", name
+        assert status["regular-module-is-wakamatsu"] == "pass", name
+    assert data["summary"] == {"fail": 0, "pass": 100, "skipped": 2}
 
 
 def test_verify_undecided_gorenstein_symmetry_is_skipped(capsys):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 import extbound as eb
-from extbound import ModuleMap, PdFinite
+from extbound import ModuleMap, PdFinite, tilting
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +80,9 @@ def test_coresolution_rejects_forged_term_witnesses(a2, a2_tilting):
 def test_coresolution_failure(a2):
     result = eb.coresolution_in_add(eb.regular_module(a2),
                                     eb.simple_module(a2, 0), 8)
-    assert not result.success
+    assert not result.success and result.refuted
     assert result.failure_stage == 0
-    assert result.reason == "approximation not injective"
+    assert [x.dims for x in result.images] == [(1, 2)]
 
 
 def test_selforthogonality(a2_tilting, corpora):
@@ -124,9 +124,56 @@ def test_tilting_implies_wakamatsu(a2_tilting, corpora):
     report = eb.is_wakamatsu(a2_tilting, 10, 8)
     assert report.verdict == "wakamatsu" and report.complete
     assert all(s.status == "certified" for s in report.stages)
+    modules = [a2_tilting]
     for corpus in corpora.values():
-        reg = eb.regular_module(corpus.algebra)
-        assert eb.is_wakamatsu(reg, 10, 8).verdict == "wakamatsu"
+        modules.append(eb.regular_module(corpus.algebra))
+        modules.extend(rep for _, rep in corpus)
+    seen = set()
+    for maxlen in (0, 1, 2, 8):
+        for t_mod in modules:
+            tilt = eb.is_tilting(t_mod, 10, maxlen)
+            wak = eb.is_wakamatsu(t_mod, 10, maxlen)
+            if tilt.verdict == "tilting":
+                assert wak.verdict == "wakamatsu" and wak.complete, (t_mod.dims, maxlen)
+            # both verdicts read one chain: each stage is one of its images,
+            # and only Ext(T,T) != 0 or a failed stage stops short of its end
+            images = [x.dims for x in tilt.coresolution.images]
+            stage_dims = [s.image_dims for s in wak.stages]
+            assert stage_dims == images[:len(stage_dims)]
+            if wak.selforthogonal.status != "certified_false":
+                assert wak.complete == tilt.coresolution.success
+                if all(s.status != "failed" for s in wak.stages):
+                    assert stage_dims == images
+            seen.add((tilt.verdict, wak.verdict))
+    assert {("tilting", "wakamatsu"), ("undetermined", "undetermined"),
+            ("not_tilting", "not_wakamatsu")} <= seen
+
+
+def test_one_walk_of_approximations(a2_tilting, monkeypatch):
+    calls = []  # (name, whether is_tilting is running)
+    depth = 0
+
+    def counted(name, fn):
+        def wrapper(*args):
+            nonlocal depth
+            calls.append((name, depth > 0))
+            depth += name == "is_tilting"
+            try:
+                return fn(*args)
+            finally:
+                depth -= name == "is_tilting"
+        return wrapper
+
+    for name in ("left_add_approximation", "coresolution_in_add", "is_tilting",
+                 "is_selforthogonal", "projective_dimension"):
+        monkeypatch.setattr(tilting, name, counted(name, getattr(tilting, name)))
+    assert eb.is_wakamatsu(a2_tilting, 10, 8).verdict == "wakamatsu"
+    assert [name for name, _ in calls].count("left_add_approximation") == 1
+    calls.clear()
+    assert eb.ewtc_check(a2_tilting, 10, 8).status == "confirmed"
+    assert [name for name, _ in calls].count("coresolution_in_add") == 1
+    # the hypotheses and the pd are is_tilting's, not decided again
+    assert [name for name, inside in calls if not inside] == ["is_tilting"]
 
 
 def test_wakamatsu_rejects_non_orthogonal(corpora):
