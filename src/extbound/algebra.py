@@ -17,7 +17,7 @@ first), and the product p*q in the algebra means "apply q, then p".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Sequence
 
 from .exactla import Echelon, FieldSpec, Matrix, Scalar
@@ -290,17 +290,17 @@ class Algebra:
         return self.quiver.vertex_count
 
     def clear_caches(self) -> None:
-        """Empty the seven memos: resolution steps (the only store of
-        resolutions; each MinimalResolution is a per-call walk of it, built
-        once, and keeps the steps it holds), Hom bases, the (Hom, Ext^1)
-        pairs of Ext tables, the complex route's ranks, projective
-        dimensions per (module, cutoff), vanishing onsets and the module
-        table (_canonical_module), which grows with every module built
-        until it is cleared.  They refill on demand with equal values.  The
-        projective and regular modules stay, as the algebra's own modules,
-        and so does the opposite algebra; each kept projective goes back
-        into the emptied module table, so a module built later equal to it
-        is that same object."""
+        """Empty the seven memos: the six that _memoized writes, resolution
+        steps (the only store of resolutions; each MinimalResolution is a
+        per-call walk of it, built once, and keeps the steps it holds), Hom
+        bases, the (Hom, Ext^1) pairs of Ext tables, the complex route's
+        ranks, projective dimensions per (module, cutoff) and vanishing
+        onsets, and the module table (_canonical_module), which grows with
+        every module built until it is cleared.  They refill on demand with
+        equal values.  The projective and regular modules stay, as the
+        algebra's own modules, and so does the opposite algebra; each kept
+        projective goes back into the emptied module table, so a module
+        built later equal to it is that same object."""
         for memo in (self._step_memo, self._hom_memo, self._ext_memo,
                      self._rank_memo, self._pd_memo, self._onset_memo,
                      self._module_memo):
@@ -518,6 +518,25 @@ def _canonical_module(rep: Representation) -> Representation:
     keys into identical ones, so later lookups compare by identity.  Racing
     threads both return the object stored first."""
     return rep.algebra._module_memo.setdefault(rep, rep)
+
+
+def _memoized(memo_name: str):
+    """Memoize a function of a module and further arguments in the memo
+    named memo_name of the module's algebra, keyed on the full argument
+    tuple.  Keys compare structurally (Representation equality), so equal
+    modules built apart share one entry.  Racing threads may both compute;
+    both return the value stored first.  This is the only writer of those
+    memos; Algebra.clear_caches empties them."""
+    def decorate(fn):
+        @wraps(fn)
+        def memoized(*key):
+            memo = getattr(key[0].algebra, memo_name)
+            value = memo.get(key)
+            if value is None:
+                value = memo.setdefault(key, fn(*key))
+            return value
+        return memoized
+    return decorate
 
 
 def path_action(rep: Representation, path: Path) -> Matrix:

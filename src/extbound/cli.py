@@ -402,7 +402,9 @@ _OPEN_QUESTIONS = (
 
 def cmd_verify(args):
     names = list(FIXTURE_NAMES) if args.fixtures == "all" \
-        else [n.strip().upper() for n in args.fixtures.split(",") if n.strip()]
+        else list(dict.fromkeys(n.strip().upper() for n in args.fixtures.split(",") if n.strip()))
+    if not names:
+        raise FileFormatError(f"no fixture named in --fixtures {args.fixtures!r}")
     for n in names:
         if n not in FIXTURE_NAMES:
             raise FileFormatError(f"unknown fixture {n!r}")

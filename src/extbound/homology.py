@@ -23,10 +23,11 @@ _resolution_step, the projective cover of a module and the kernel of that
 cover, computed once per distinct module per algebra, the only store of
 resolution steps: a MinimalResolution (pd, periodicity, the CLI) is a value
 built once per call, by one walk of them through its cutoff, and no Ext
-value reads one.  The pairs, the complex route's ranks, pd per (module,
-cutoff) and the vanishing onsets are memoized per algebra.  Every memo key
-compares structurally, but each syzygy, simple and dual is the one object of
-its algebra's module table (algebra._canonical_module), so a key built from
+value reads one.  The steps, the pairs, the complex route's ranks, pd per
+(module, cutoff) and the vanishing onsets are memoized per algebra under
+their full argument tuples, by algebra._memoized.  Every memo key compares
+structurally, but each syzygy, simple and dual is the one object of its
+algebra's module table (algebra._canonical_module), so a key built from
 those modules hits by identity.
 
 Claims about all sufficiently large degrees are made only under a
@@ -55,7 +56,7 @@ from dataclasses import dataclass, fields
 from itertools import accumulate
 
 from .exactla import Matrix, rank
-from .algebra import Representation, _summands, dual_module, regular_module
+from .algebra import Representation, _memoized, _summands, dual_module, regular_module
 from .modules import (
     AlgebraMismatchError, CoverResult, InternalCheckError, ModuleMap,
     _path_actions, hom_basis, is_isomorphic, kernel, projective_cover,
@@ -161,32 +162,25 @@ class MinimalResolution:
         return False
 
 
+@_memoized("_step_memo")
 def _resolution_step(module: Representation) -> tuple[CoverResult, Representation, ModuleMap]:
     """The projective cover of a nonzero module, the kernel of that cover
     and its inclusion, memoized per algebra.
 
-    The key is the module itself, under the exact structural equality of the
-    other per-algebra memos.  The step's certificate runs once, for the first
-    module of its class that is resolved; a hit returns the result already
-    proven for an equal module.  The certificate: the cover intertwines the
-    arrows; from one canonical kernel basis per vertex (computed by
-    projective_cover and reused by kernel), the cover is surjective and its
-    kernel is 0 at every trivial-path coordinate of P, so lies in rad P; the
-    kernel basis is injective (identity at its free coordinates) and
-    arrow-stable (one exact equality per arrow).  That is as strong as the
-    rank test against rad P and the Representation and ModuleMap re-checks
-    it replaces, and the syzygy and its inclusion are the same matrices.
-
-    Two threads may race on the same module: both compute and check equal
-    results, and both return the one stored first.
+    The step's certificate runs once, for the first module of its class that
+    is resolved; a hit returns the result already proven for an equal
+    module.  The certificate: the cover intertwines the arrows; from one
+    canonical kernel basis per vertex (computed by projective_cover and
+    reused by kernel), the cover is surjective and its kernel is 0 at every
+    trivial-path coordinate of P, so lies in rad P; the kernel basis is
+    injective (identity at its free coordinates) and arrow-stable (one exact
+    equality per arrow).  That is as strong as the rank test against rad P
+    and the Representation and ModuleMap re-checks it replaces, and the
+    syzygy and its inclusion are the same matrices.
     """
-    memo = module.algebra._step_memo
-    step = memo.get(module)
-    if step is None:
-        cov = projective_cover(module)
-        syz, incl = kernel(cov.cover, cov.kernel_bases)
-        step = memo.setdefault(module, (cov, syz, incl))
-    return step
+    cov = projective_cover(module)
+    syz, incl = kernel(cov.cover, cov.kernel_bases)
+    return cov, syz, incl
 
 
 def minimal_resolution(module: Representation, cutoff: int) -> MinimalResolution:
@@ -220,7 +214,8 @@ class ExtTable(_Record):
     cutoff: int
 
 
-def _precomposition_rank(y_mod: Representation, n_mod: Representation, op) -> int:
+@_memoized("_rank_memo")
+def _precomposition_rank(y_mod: Representation, n_mod: Representation) -> int:
     """Rank of Hom(P_0, N) -> Hom(P_1, N), precomposition with d_1, the cover
     of the syzygy of Y followed by its inclusion into the cover P_0 of Y.
 
@@ -229,34 +224,30 @@ def _precomposition_rank(y_mod: Representation, n_mod: Representation, op) -> in
     each basis path of P_0 in its image.  The cover sends the generator to
     a unit vector e_g (projective_cover lifts the top to unit vectors), so
     that image is column g of the inclusion.  P_0 and P_1 must be nonzero.
-    Memoized per algebra under (Y, N)."""
-    memo = y_mod.algebra._rank_memo
-    key = (y_mod, n_mod)
-    r = memo.get(key)
-    if r is None:
-        fld = y_mod.algebra.field
-        cov, om, incl = _resolution_step(y_mod)
-        nxt = _resolution_step(om)[0]
-        dom, cod = cov.bundle, nxt.bundle
-        dom_off = [0, *accumulate(n_mod.dims[v] for v, _ in dom.summands)]
-        cod_off = [0, *accumulate(n_mod.dims[v] for v, _ in cod.summands)]
-        rows = [[fld.zero] * dom_off[-1] for _ in range(cod_off[-1])]
-        for s, (vs, _) in enumerate(cod.summands):
-            unit = nxt.cover.vertex_maps[vs].column(cod.generator_coords[s][1])
-            column = incl.vertex_maps[vs].column(unit.index(fld.one))
-            for coord, coef in enumerate(column):
-                if coef == 0:
-                    continue
-                t, path = dom.vertex_labels[vs][coord]
-                block = op(path)  # N_{source summand vertex} -> N_{vs}
-                for i in range(block.rows):
-                    for j in range(block.cols):
-                        val = block.entry(i, j)
-                        if val != 0:
-                            row = rows[cod_off[s] + i]
-                            row[dom_off[t] + j] = fld.add(row[dom_off[t] + j], fld.mul(coef, val))
-        r = memo.setdefault(key, rank(Matrix.from_rows(fld, rows)))
-    return r
+    Memoized per algebra."""
+    fld = y_mod.algebra.field
+    op = _path_actions(n_mod)
+    cov, om, incl = _resolution_step(y_mod)
+    nxt = _resolution_step(om)[0]
+    dom, cod = cov.bundle, nxt.bundle
+    dom_off = [0, *accumulate(n_mod.dims[v] for v, _ in dom.summands)]
+    cod_off = [0, *accumulate(n_mod.dims[v] for v, _ in cod.summands)]
+    rows = [[fld.zero] * dom_off[-1] for _ in range(cod_off[-1])]
+    for s, (vs, _) in enumerate(cod.summands):
+        unit = nxt.cover.vertex_maps[vs].column(cod.generator_coords[s][1])
+        column = incl.vertex_maps[vs].column(unit.index(fld.one))
+        for coord, coef in enumerate(column):
+            if coef == 0:
+                continue
+            t, path = dom.vertex_labels[vs][coord]
+            block = op(path)  # N_{source summand vertex} -> N_{vs}
+            for i in range(block.rows):
+                for j in range(block.cols):
+                    val = block.entry(i, j)
+                    if val != 0:
+                        row = rows[cod_off[s] + i]
+                        row[dom_off[t] + j] = fld.add(row[dom_off[t] + j], fld.mul(coef, val))
+    return rank(Matrix.from_rows(fld, rows))
 
 
 def _complex_pair(x_mod: Representation, n_mod: Representation) -> tuple[int, int]:
@@ -264,7 +255,6 @@ def _complex_pair(x_mod: Representation, n_mod: Representation) -> tuple[int, in
     cohomology of Hom(P_*, N) in degrees 0 and 1, where c_k = dim Hom(P_k, N)
     and r_k is the rank of precomposition with d_k.  It reads the steps of X
     and of its syzygy and the cover of the second syzygy, nothing else."""
-    op = _path_actions(n_mod)
     syz, covs = [x_mod], []
     while len(covs) < 3 and not syz[-1].is_zero:
         cov, om, _ = _resolution_step(syz[-1])
@@ -272,7 +262,7 @@ def _complex_pair(x_mod: Representation, n_mod: Representation) -> tuple[int, in
         syz.append(om)
     space = [sum(n_mod.dims[v] for v, _ in cov.bundle.summands) for cov in covs]
     space += [0] * (3 - len(covs))
-    r1, r2 = (_precomposition_rank(syz[k - 1], n_mod, op) if space[k - 1] and space[k] else 0
+    r1, r2 = (_precomposition_rank(syz[k - 1], n_mod) if space[k - 1] and space[k] else 0
               for k in (1, 2))
     hom, ext1 = space[0] - r1, space[1] - r2 - r1
     if hom < 0 or ext1 < 0:
@@ -354,27 +344,19 @@ def ext_table(m_mod: Representation, n_mod: Representation, cutoff: int) -> ExtT
     return ExtTable(tuple(map(sum, zip(*tables))), cutoff)
 
 
+@_memoized("_ext_memo")
 def _ext_pair(x_mod: Representation, n_mod: Representation) -> tuple[int, int]:
     """(dim Hom(X, N), dim Ext^1(X, N)), computed by both independent routes
     at cutoff 1; a mismatch is a hard internal error.  The routes are called
     through the module's full-table functions, so a replacement of either
-    name is the route that gets compared.
-
-    The pair is memoized per algebra under the key (X, N), with the
-    structural equality of the other memos; racing threads both compute and
-    check, and both return the pair stored first."""
-    memo = x_mod.algebra._ext_memo
-    key = (x_mod, n_mod)
-    pair = memo.get(key)
-    if pair is None:
-        via_complex = ext_dims_via_complex(x_mod, n_mod, 1)
-        via_stable = ext_dims_via_stable(x_mod, n_mod, 1)
-        if via_complex != via_stable:
-            raise InternalCheckError(
-                f"Ext oracle disagreement on a module of dimension vector {x_mod.dims}: "
-                f"complex {via_complex} vs stable {via_stable}")
-        pair = memo.setdefault(key, tuple(via_complex))
-    return pair
+    name is the route that gets compared.  Memoized per algebra."""
+    via_complex = ext_dims_via_complex(x_mod, n_mod, 1)
+    via_stable = ext_dims_via_stable(x_mod, n_mod, 1)
+    if via_complex != via_stable:
+        raise InternalCheckError(
+            f"Ext oracle disagreement on a module of dimension vector {x_mod.dims}: "
+            f"complex {via_complex} vs stable {via_stable}")
+    return tuple(via_complex)
 
 
 # ----- projective/injective dimension and periodicity ------------------------
@@ -459,23 +441,14 @@ def periodicity_certificate(module: Representation,
     return None
 
 
+@_memoized("_pd_memo")
 def projective_dimension(module: Representation, cutoff: int) -> PdResult:
     """Finite(m) from a terminated resolution, PeriodicInfinite from a
     certified syzygy recurrence, otherwise AtLeast(cutoff).
 
-    The zero module reports Finite(-1).  Memoized per algebra under the key
-    (module, cutoff), like vanishing_onset."""
+    The zero module reports Finite(-1).  Memoized per algebra."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    memo = module.algebra._pd_memo
-    key = (module, cutoff)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo.setdefault(key, _decide_pd(module, cutoff))
-    return hit
-
-
-def _decide_pd(module: Representation, cutoff: int) -> PdResult:
     # a recorded sum has finite pd exactly when its parts have, the largest
     # of theirs; its recurrences are not its parts', so it is searched whole
     parts = _summands(module)
@@ -555,6 +528,7 @@ def _last_nonzero_positive(dims, upto: int) -> int:
     return onset
 
 
+@_memoized("_onset_memo")
 def vanishing_onset(m_mod: Representation, n_mod: Representation,
                     cutoff: int) -> OnsetResult:
     """Decide from which degree Ext^i(M, N) vanishes forever.
@@ -562,21 +536,8 @@ def vanishing_onset(m_mod: Representation, n_mod: Representation,
     Decisions come only from certificates: a terminated resolution bounds
     everything, a periodicity certificate reduces the infinite tail to one
     period window.  Anything else is reported undetermined at the cutoff.
-
-    The result is memoized per algebra under the key (M, N, cutoff), with
-    the structural equality of the other memos; racing threads both compute
-    and both return the result stored first.
+    Memoized per algebra.
     """
-    memo = m_mod.algebra._onset_memo
-    key = (m_mod, n_mod, cutoff)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo.setdefault(key, _decide_onset(m_mod, n_mod, cutoff))
-    return hit
-
-
-def _decide_onset(m_mod: Representation, n_mod: Representation,
-                  cutoff: int) -> OnsetResult:
     pd_res = projective_dimension(m_mod, cutoff)
     if isinstance(pd_res, PdFinite):
         depth = max(pd_res.value, 0)

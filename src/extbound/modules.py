@@ -44,8 +44,8 @@ from .exactla import (
     Echelon, Matrix, column_space_basis, hstack, inverse, kernel_basis, rank, solve,
 )
 from .algebra import (
-    Algebra, Path, Representation, _canonical_module, direct_sum, path_action,
-    projective_module, zero_representation,
+    Algebra, Path, Representation, _canonical_module, _memoized, direct_sum,
+    path_action, projective_module, zero_representation,
 )
 
 
@@ -186,7 +186,13 @@ def direct_sum_with_maps(reps: Sequence[Representation]):
 
 
 def hom_basis(source: Representation, target: Representation) -> list[ModuleMap]:
-    """Canonical basis of Hom(source, target).
+    """Canonical basis of Hom(source, target), as a new list."""
+    return list(_hom_basis(source, target))
+
+
+@_memoized("_hom_memo")
+def _hom_basis(source: Representation, target: Representation) -> tuple[ModuleMap, ...]:
+    """The canonical basis of Hom(source, target), memoized per algebra.
 
     The unknowns are the entries of the vertex maps f_v, vertex by vertex,
     each in row-major order.  Every intertwining equation f_t X_a = X'_a f_s
@@ -195,15 +201,11 @@ def hom_basis(source: Representation, target: Representation) -> list[ModuleMap]
     with no unknown at all the basis is empty.  The basis is the Echelon's
     canonical kernel basis: the reduced echelon form is unique, so the
     vectors and their order do not depend on the order the rows came in.
-    Bases are memoized per algebra (they are immutable).  Each basis map is
-    valid and built without the intertwining re-check: it solves the
-    system, whose rows are the intertwining equations, entry by entry, and
-    its matrices have the shapes of the unknowns' blocks.
+    Each basis map is valid and built without the intertwining re-check: it
+    solves the system, whose rows are the intertwining equations, entry by
+    entry, and its matrices have the shapes of the unknowns' blocks.
     """
     alg = _same_algebra(source, target)
-    cached = alg._hom_memo.get((source, target))
-    if cached is not None:
-        return list(cached)
     fld = alg.field
     xdims, ndims = source.dims, target.dims
     sizes = [n * x for n, x in zip(ndims, xdims)]
@@ -236,8 +238,7 @@ def hom_basis(source: Representation, target: Representation) -> list[ModuleMap]
             maps.append(ModuleMap._trusted(source, target, tuple(
                 Matrix._trusted(fld, ndims[v], xdims[v], vec[offsets[v]:offsets[v + 1]])
                 for v in range(alg.vertex_count))))
-    alg._hom_memo[(source, target)] = tuple(maps)
-    return maps
+    return tuple(maps)
 
 
 def end_basis(rep: Representation) -> list[ModuleMap]:

@@ -302,6 +302,21 @@ def test_verify_deterministic_bytes(capsys):
     assert first == second
 
 
+def test_verify_repeated_fixture_runs_once(capsys):
+    _, once, _ = run(capsys, "verify", "--fixtures", "a2", "--cutoff", "8", "--format", "json")
+    _, twice, _ = run(capsys, "verify", "--fixtures", "a2,A2", "--cutoff", "8",
+                      "--format", "json")
+    once, twice = json.loads(once), json.loads(twice)
+    assert twice["summary"] == once["summary"]
+    assert twice["fixtures"] == once["fixtures"]
+
+
+@pytest.mark.parametrize("names", [",", " , ,", ""])
+def test_verify_without_a_fixture_name_exit_3(capsys, names):
+    code, out, err = run(capsys, "verify", "--fixtures", names, "--format", "json")
+    assert (code, out) == (3, "") and "error:" in err
+
+
 def test_verify_all_matches_golden_bytes(capsys):
     # the committed stdout of this command; refactors must keep it byte for byte
     golden = (Path(__file__).parent / "data" / "verify_fixtures_all_c12.json").read_text()

@@ -43,7 +43,7 @@ def test_resolution_extends_incrementally(loop2):
     assert len(res.covers) > len(first) >= 3
     assert all(a is b for a, b in zip(res.covers, first))
     for j, cov in enumerate(res.covers):
-        assert cov is loop2._step_memo[res.syzygies[j]][0]
+        assert cov is loop2._step_memo[(res.syzygies[j],)][0]
 
 
 def test_resolution_is_built_once(loop2):
@@ -708,7 +708,7 @@ def test_clear_caches_empties_the_memos_and_keeps_results(corpora):
 def test_racing_threads_share_one_step_per_module():
     import sys
     import threading
-    from extbound.homology import _ext_pair
+    from extbound.homology import _ext_pair, _precomposition_rank
     alg = _cyclic_nakayama(6, 4)
     alg.clear_caches()
     simples = [eb.simple_module(alg, v) for v in range(6)]
@@ -716,14 +716,20 @@ def test_racing_threads_share_one_step_per_module():
     results: list = []
     onsets: list = []
     pairs: list = []
+    pds: list = []
+    ranks: list = []
+    homs: list = []
 
     def work():
         for s in simples:
             results.append(eb.MinimalResolution(s, 8))
+            pds.append(((s, 8), eb.projective_dimension(s, 8)))
         for s in simples:
             for t in simples:
                 onsets.append(((s, t, 8), eb.vanishing_onset(s, t, 8)))
                 pairs.append(((s, t), _ext_pair(s, t)))
+                ranks.append(((s, t), _precomposition_rank(s, t)))
+                homs.append(((s, t), eb.hom_basis(s, t)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -738,13 +744,22 @@ def test_racing_threads_share_one_step_per_module():
     assert len(results) == 4 * len(simples)
     for res in results:
         for j, cov in enumerate(res.covers):
-            assert cov is alg._step_memo[res.syzygies[j]][0]
+            assert cov is alg._step_memo[(res.syzygies[j],)][0]
     assert len(onsets) == 4 * len(simples) ** 2
     for key, onset in onsets:
         assert onset is alg._onset_memo[key]
     assert len(pairs) == 4 * len(simples) ** 2
     for key, pair in pairs:
         assert pair is alg._ext_memo[key]
+    assert len(pds) == 4 * len(simples)
+    for key, pd in pds:
+        assert pd is alg._pd_memo[key]
+    assert len(ranks) == len(homs) == 4 * len(simples) ** 2
+    for key, r in ranks:
+        assert r is alg._rank_memo[key]
+    for key, maps in homs:
+        stored = alg._hom_memo[key]
+        assert len(maps) == len(stored) and all(f is g for f, g in zip(maps, stored))
 
 
 # ----- per-module hash and per-triple onset memo ---------------------------------
@@ -846,18 +861,21 @@ def test_repeated_onset_is_the_stored_result(loop2):
 
 
 def test_bound_properties_compute_one_onset_per_triple(monkeypatch, corpora):
+    import sys
     from extbound import bounds, homology
     computed, asked = [], []
-    honest_decide, honest_onset = homology._decide_onset, bounds.vanishing_onset
+    honest_result, honest_onset = homology.OnsetResult, bounds.vanishing_onset
 
-    def decide(m_mod, n_mod, cutoff):
-        computed.append((m_mod, n_mod, cutoff))
-        return honest_decide(m_mod, n_mod, cutoff)
+    def result(*args):
+        # one OnsetResult per onset computed, built inside vanishing_onset
+        caller = sys._getframe(1).f_locals
+        computed.append((caller["m_mod"], caller["n_mod"], caller["cutoff"]))
+        return honest_result(*args)
 
     def onset(m_mod, n_mod, cutoff):
         asked.append((m_mod, n_mod, cutoff))
         return honest_onset(m_mod, n_mod, cutoff)
-    monkeypatch.setattr(homology, "_decide_onset", decide)
+    monkeypatch.setattr(homology, "OnsetResult", result)
     monkeypatch.setattr(bounds, "vanishing_onset", onset)
     corpus = corpora["CNAK2"]
     alg = corpus.algebra

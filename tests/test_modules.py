@@ -483,6 +483,21 @@ def test_hom_basis_without_unknowns_adds_no_row(monkeypatch, a2):
     assert len(eb.hom_basis(p1, p1)) == 1 and added  # the arrow's equation goes in
 
 
+def test_hom_basis_hands_out_a_new_list(nak3):
+    # a caller's edits to its list never reach the stored basis
+    p1, reg = eb.projective_module(nak3, 0), eb.regular_module(nak3)
+    for source, target in ((p1, reg), (reg, reg)):
+        first = eb.hom_basis(source, target)
+        stored = nak3._hom_memo[(source, target)]
+        assert first and tuple(first) == stored
+        first.clear()
+        second = eb.hom_basis(source, target)
+        assert second is not first and tuple(second) == stored
+        second.append(second[0])
+        assert tuple(eb.hom_basis(source, target)) == stored
+        assert nak3._hom_memo[(source, target)] is stored
+
+
 def test_hom_basis_reduces_raw_entries(assert_hom_basis_matches_reference):
     # the plain Matrix constructor keeps entries as given: 5 and -5 are 0 in GF(5)
     alg = _free_algebra(5, _SMALL_QUIVERS["kronecker"])

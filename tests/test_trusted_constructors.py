@@ -16,7 +16,7 @@ TRUSTED_CLASSES = {"Representation", "ModuleMap"}
 ALLOWED = {
     ("algebra.py", "direct_sum"),
     ("algebra.py", "dual_module"),
-    ("modules.py", "hom_basis"),
+    ("modules.py", "_hom_basis"),
     ("modules.py", "projective_cover"),
     ("modules.py", "_subrepresentation"),
     ("modules.py", "cokernel"),
